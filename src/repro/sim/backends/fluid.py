@@ -27,6 +27,17 @@ Concretely, :class:`FluidNetwork` is a :class:`NetworkSimulator` whose
   slowest dimension drains.  The modeling error is the pipeline fill/drain
   skew the collapse hides — a ``(ndims − 1)/chunks`` fraction of a
   dimension's work — which the hybrid bounds via ``tolerance``;
+* the collapse is **memoized on the plan-cache key**
+  (:meth:`FluidNetwork._aggregate`): every submission under one key
+  shares the cached plan's chunks, so the per-dimension aggregates —
+  ``(dim, op, bytes, transfer seconds, max fixed latency, summed stage
+  size)`` in first-traversal order, or the hybrid's coarse-plan verdict —
+  are summed once per key and each submission only stamps fresh
+  :class:`~repro.sim.executor.OpState` objects from them.  The key carries
+  the live capacity factors whenever a dimension is degraded, so no
+  aggregate crosses fault states.  The memo is on exactly when the plan
+  cache is: with ``plan_cache=False`` or a subclassed scheduler factory
+  (key ``None``) every submission is collapsed afresh;
 * simultaneous rate changes coalesce across channels
   (:class:`~repro.sim.executor.FlowCoalescer`): a same-instant burst of
   flow starts/finishes/reweights recomputes each channel's rates once
@@ -46,7 +57,7 @@ where precision matters (``hybrid=True``, the default):
   flows get rate; lower-priority flows park at rate zero with progress
   banked) *and* keeps collectives at exact chunk granularity, so
   preemption points land at chunk boundaries as they do on the serial
-  wire;
+  wire (checked live on every submission, never memoized);
 * **coarse multi-dimensional plans**, where the fill/drain skew exceeds
   ``tolerance``, keep exact granularity rather than hide the error.
 
@@ -59,6 +70,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, ClassVar
 
 from ...collectives.phases import Stage
+from ...collectives.types import PhaseOp
 from ...errors import ConfigError
 from ..executor import FlowCoalescer, OpState
 from ..network import NetworkSimulator
@@ -73,6 +85,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...topology import Topology
     from ..engine import EventQueue
     from ..executor import FusionConfig
+
+#: One traversed dimension of a fluidized plan: ``(local dim, phase op,
+#: per-NPU bytes, transfer seconds, fixed latency, summed stage size)``.
+DimAggregate = tuple[int, PhaseOp, float, float, float, float]
 
 
 @dataclass(frozen=True)
@@ -168,6 +184,10 @@ class FluidNetwork(NetworkSimulator):
         # set_share_weights can never trip.
         for channel in self.channels:
             channel.set_share_weights({}, default=1.0)
+        #: ``plan key -> per-dimension aggregates`` (``None``: the plan
+        #: stays exact).  Every submission under one plan-cache key shares
+        #: ``plan.chunks``, so the collapse runs once per key.
+        self._aggregates: dict[tuple, tuple[DimAggregate, ...] | None] = {}
         self.coalescer: FlowCoalescer | None = None
         if self.options.coalesce:
             self.coalescer = FlowCoalescer(self.engine)
@@ -190,43 +210,22 @@ class FluidNetwork(NetworkSimulator):
             channel.enable_priority_sharing()
 
     # --- execution granularity --------------------------------------------
-    def _fluidize(self, plan: "CollectivePlan") -> bool:
-        """Whether this plan may collapse to aggregate per-dim flows."""
-        options = self.options
-        if options.hybrid:
-            if self._preemption_armed:
-                return False
-            ndims = len({
-                stage.dim_index
-                for chunk in plan.chunks
-                for stage in chunk.stages
-            })
-            chunks = len(plan.chunks)
-            if ndims > 1 and (ndims - 1) > options.tolerance * chunks:
-                return False
-        return True
+    def _aggregate(
+        self, plan: "CollectivePlan", model: "LatencyModel"
+    ) -> tuple[DimAggregate, ...] | None:
+        """Collapse a plan's chunk train into per-dimension aggregates.
 
-    def _build_chunk_ops(
-        self,
-        request: "CollectiveRequest",
-        plan: "CollectivePlan",
-        subtopo: "Topology",
-        model: "LatencyModel",
-    ) -> list[list[OpState]]:
-        if not self._fluidize(plan):
-            return super()._build_chunk_ops(request, plan, subtopo, model)
-        # One aggregate single-stage pseudo-chunk per traversed dimension,
-        # in first-traversal order (deterministic: plan order, no sets).
-        # All of them enqueue immediately — stage 0 of every chunk — so the
-        # per-dimension flows run concurrently, modeling the chunk train's
-        # dimension overlap; the collective completes when the last
-        # dimension drains.  Bytes and transfer seconds are the exact
-        # plan's sums, so byte conservation is untouched; the fixed latency
-        # is carried once per dimension, exactly as the exact wire pays it
-        # (a pipeline tail, not a per-chunk cost).
+        One entry per traversed dimension, in first-traversal order
+        (deterministic: plan order, no sets).  Bytes and transfer seconds
+        are the exact plan's sums, so byte conservation is untouched; the
+        fixed latency is carried once per dimension, exactly as the exact
+        wire pays it (a pipeline tail, not a per-chunk cost).  ``None``
+        when ``hybrid`` keeps the plan exact because it is too coarse: its
+        fill/drain skew ``(ndims − 1)/chunks`` exceeds ``tolerance``.
+        """
         order: list[int] = []
         totals: dict[int, list[float]] = {}
-        first_stage: dict[int, Stage] = {}
+        ops: dict[int, PhaseOp] = {}
         for chunk in plan.chunks:
             for stage in chunk.stages:
                 local = stage.dim_index
@@ -234,7 +233,7 @@ class FluidNetwork(NetworkSimulator):
                 if bucket is None:
                     order.append(local)
                     totals[local] = bucket = [0.0, 0.0, 0.0, 0.0]
-                    first_stage[local] = stage
+                    ops[local] = stage.op
                 bucket[0] += model.bytes_per_npu(
                     stage.op, stage.stage_size, local
                 )
@@ -243,21 +242,56 @@ class FluidNetwork(NetworkSimulator):
                 if fixed > bucket[2]:
                     bucket[2] = fixed
                 bucket[3] += stage.stage_size
-        chunk_ops: list[list[OpState]] = []
-        for pseudo_id, local in enumerate(order):
+        options = self.options
+        ndims = len(order)
+        if (
+            options.hybrid
+            and ndims > 1
+            and (ndims - 1) > options.tolerance * len(plan.chunks)
+        ):
+            return None
+        aggregates = []
+        for local in order:
             nbytes, transfer, fixed, stage_size = totals[local]
-            template = first_stage[local]
+            aggregates.append((local, ops[local], nbytes, transfer, fixed, stage_size))
+        return tuple(aggregates)
+
+    def _build_chunk_ops(
+        self,
+        request: "CollectiveRequest",
+        plan: "CollectivePlan",
+        subtopo: "Topology",
+        model: "LatencyModel",
+        plan_key: tuple | None,
+    ) -> list[list[OpState]]:
+        # Armed preemption pins exact granularity: a live check, never
+        # memoized, since arming can happen between two submissions that
+        # share a plan-cache slot.
+        if self.options.hybrid and self._preemption_armed:
+            return super()._build_chunk_ops(request, plan, subtopo, model, plan_key)
+        if plan_key is None:
+            aggregates = self._aggregate(plan, model)
+        elif plan_key in self._aggregates:
+            aggregates = self._aggregates[plan_key]
+        else:
+            aggregates = self._aggregates[plan_key] = self._aggregate(plan, model)
+        if aggregates is None:
+            return super()._build_chunk_ops(request, plan, subtopo, model, plan_key)
+        # One single-stage pseudo-chunk per traversed dimension.  All of
+        # them enqueue immediately — stage 0 of every chunk — so the
+        # per-dimension flows run concurrently, modeling the chunk train's
+        # dimension overlap; the collective completes when the last
+        # dimension drains.
+        chunk_ops: list[list[OpState]] = []
+        for pseudo_id, aggregate in enumerate(aggregates):
+            local, op, nbytes, transfer, fixed, stage_size = aggregate
             chunk_ops.append(
                 [
                     OpState(
                         collective_seq=request.request_id,
                         chunk_id=pseudo_id,
                         stage_index=0,
-                        stage=Stage(
-                            dim_index=local,
-                            op=template.op,
-                            stage_size=stage_size,
-                        ),
+                        stage=Stage(dim_index=local, op=op, stage_size=stage_size),
                         parent_dim=subtopo.parent_index(local),
                         bytes_sent=nbytes,
                         transfer_time=transfer,

@@ -165,6 +165,11 @@ class PacketOptions:
         )
 
 
+#: Relative distance below which a bytes/MTU quotient counts as a whole
+#: number of packets (the engine's float round-off scale, ``times_close``).
+_PACKET_SNAP_RTOL = 1e-12
+
+
 def packetize(nbytes: float, mtu_bytes: float) -> list[float]:
     """Split a byte volume into MTU-bounded payloads.
 
@@ -174,12 +179,20 @@ def packetize(nbytes: float, mtu_bytes: float) -> list[float]:
     """
     if nbytes <= 0:
         return []
-    full = int(nbytes // mtu_bytes)
-    remainder = nbytes - full * mtu_bytes
-    payloads = [mtu_bytes] * full
-    if remainder > 0:
-        payloads.append(remainder)
-    return payloads
+    # Count from the quotient, snapped to a whole number within float
+    # round-off so an exact multiple grows no runt packet (one that would
+    # pay a full header), and derive the last payload from the count.
+    quotient = nbytes / mtu_bytes
+    nearest = round(quotient)
+    if abs(quotient - nearest) <= _PACKET_SNAP_RTOL * quotient:
+        count = nearest
+    else:
+        count = math.ceil(quotient)
+    # Round-off can leave the derived tail a few ulps of ``nbytes`` past
+    # the MTU; clamp it (the bytes dropped are far below the conservation
+    # tolerance).
+    last = min(nbytes - (count - 1) * mtu_bytes, mtu_bytes)
+    return [mtu_bytes] * (count - 1) + [last]
 
 
 def lane_for_packet(

@@ -512,7 +512,7 @@ class NetworkSimulator:
                 self._plan_cache[plan_key] = plan
         result.plan = plan
 
-        chunk_ops = self._build_chunk_ops(request, plan, subtopo, model)
+        chunk_ops = self._build_chunk_ops(request, plan, subtopo, model, plan_key)
 
         state = _CollectiveState(result, chunk_ops, on_complete)
         self._states[request.request_id] = state
@@ -530,6 +530,7 @@ class NetworkSimulator:
         plan: CollectivePlan,
         subtopo: Topology,
         model: LatencyModel,
+        plan_key: tuple | None,
     ) -> list[list[OpState]]:
         """Materialize the plan's chunk stages as executable channel ops.
 
@@ -539,7 +540,10 @@ class NetworkSimulator:
         train into aggregate per-dimension flows.  Op lists are indexed by
         ``chunk_id`` (``_on_batch_done`` advances ``chunk_ops[op.chunk_id]``
         to the next stage), so overrides must keep ``chunk_id`` equal to
-        the op list's position.
+        the op list's position.  ``plan_key`` is the plan-cache slot the
+        plan came from (``None`` when uncached): every submission under one
+        key shares ``plan.chunks``, so overrides may memoize what they
+        derive from them on it.  The exact path ignores it.
         """
         chunk_ops: list[list[OpState]] = []
         for chunk in plan.chunks:

@@ -1,10 +1,25 @@
-"""Shared fixtures: canonical topologies and helpers used across test modules."""
+"""Shared fixtures: canonical topologies and helpers used across test modules.
+
+Also selects the Hypothesis profile named by ``HYPOTHESIS_PROFILE``
+(default: Hypothesis's own ``default``).  The ``deterministic`` profile
+derandomizes the search — every run tries the same examples, with the
+same per-test budgets — so a gate built on it is reproducible rather than
+green by luck of the search:
+
+    HYPOTHESIS_PROFILE=deterministic python -m pytest -x -q
+"""
 
 from __future__ import annotations
 
+import os
+
 import pytest
+from hypothesis import settings
 
 from repro.topology import Topology, dimension, get_topology
+
+settings.register_profile("deterministic", derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

@@ -28,7 +28,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import api
@@ -168,6 +168,10 @@ class TestPacketize:
         nbytes=st.floats(min_value=1.0, max_value=1e9),
         mtu=st.floats(min_value=64.0, max_value=1e7),
     )
+    # Float floor-division regressions: a tail 3.5e-9 B over the MTU, and
+    # a 6e-8 B runt packet (144 packets where ceil gives 143).
+    @example(nbytes=296564234.51618606, mtu=1775833.7396178807)
+    @example(nbytes=473270551.9148364, mtu=3309584.27912473)
     @settings(max_examples=100, deadline=None)
     def test_mtu_bound_and_count(self, nbytes, mtu):
         payloads = packetize(nbytes, mtu)

@@ -17,6 +17,11 @@ Covered:
   flows and counts preemptions;
 * clean runs under the invariant auditor, including across fault-driven
   capacity transitions (byte conservation at rate-change points);
+* the aggregate memo: open-loop runs bit-identical with the plan cache
+  (and so the memo) off, no aggregate reused across fault states, armed
+  preemption re-checked live on every submission, and a deterministic
+  work counter — ``LatencyModel`` lookups scale with distinct plan keys,
+  not with submissions;
 * the heap-of-heads admission index: selections identical to the O(T)
   reference scan under churn.
 """
@@ -30,9 +35,10 @@ from repro.collectives import CollectiveRequest, CollectiveType
 from repro.collectives.types import PhaseOp
 from repro.collectives.phases import Stage
 from repro.core import SchedulerFactory, Splitter
+from repro.core.latency_model import LatencyModel
 from repro.core.policies import get_policy
 from repro.errors import ConfigError, SpecError
-from repro.sim import FaultSchedule, LinkFault
+from repro.sim import FaultSchedule, LinkFault, NetworkSimulator
 from repro.sim.backends import (
     FluidBackend,
     FluidNetwork,
@@ -295,38 +301,42 @@ class TestAudited:
         assert report.payload["mean_jct"] > 0
 
 
+def _open_loop_spec(backend: str, jobs: int) -> api.ClusterScenario:
+    """Mouse-only open-loop Poisson arrivals on a 2D 4x4 switch platform."""
+    topo = Topology(
+        [
+            dimension("sw", 4, 400.0, latency_ns=100),
+            dimension("sw", 4, 200.0, latency_ns=500),
+        ],
+        name="bench-4x4",
+    )
+    return api.ClusterScenario(
+        topology=topology_to_dict(topo),
+        open_loop=api.OpenLoopTrace(
+            rate=20_000.0,
+            duration=None,
+            max_jobs=jobs,
+            seed=7,
+            mix={
+                "elephant_fraction": 0.0,
+                "mouse_layers": 1,
+                "mouse_param_mb": 1.0,
+                "max_iterations": 2,
+            },
+        ),
+        max_concurrent=8,
+        outcome_cap=100,
+        isolated_baselines=False,
+        chunks=64,
+        backend=backend,
+    )
+
+
 class TestHeadlineSpeedup:
     """The acceptance bar: >= 20x fewer events at 1024 open-loop jobs."""
 
     def _open_loop(self, backend: str) -> int:
-        topo = Topology(
-            [
-                dimension("sw", 4, 400.0, latency_ns=100),
-                dimension("sw", 4, 200.0, latency_ns=500),
-            ],
-            name="bench-4x4",
-        )
-        spec = api.ClusterScenario(
-            topology=topology_to_dict(topo),
-            open_loop=api.OpenLoopTrace(
-                rate=20_000.0,
-                duration=None,
-                max_jobs=1024,
-                seed=7,
-                mix={
-                    "elephant_fraction": 0.0,
-                    "mouse_layers": 1,
-                    "mouse_param_mb": 1.0,
-                    "max_iterations": 2,
-                },
-            ),
-            max_concurrent=8,
-            outcome_cap=100,
-            isolated_baselines=False,
-            chunks=64,
-            backend=backend,
-        )
-        report = api.run(spec)
+        report = api.run(_open_loop_spec(backend, 1024))
         assert report.payload["total_jobs"] == 1024
         return report.events
 
@@ -334,6 +344,164 @@ class TestHeadlineSpeedup:
         exact_events = self._open_loop("analytical")
         fluid_events = self._open_loop("fluid")
         assert exact_events >= 20 * fluid_events
+
+
+def _capture_fluid_networks(monkeypatch, **overrides) -> list[FluidNetwork]:
+    """Record every network the fluid backend builds (build kwargs patched)."""
+    built: list[FluidNetwork] = []
+    original = FluidBackend.build
+
+    def build(self, topology, **kwargs):
+        kwargs.update(overrides)
+        net = original(self, topology, **kwargs)
+        built.append(net)
+        return net
+
+    monkeypatch.setattr(FluidBackend, "build", build)
+    return built
+
+
+def _record_chunk_ops(net: FluidNetwork) -> list[tuple]:
+    """Log each submission's plan key and emitted ops, in submission order."""
+    log: list[tuple] = []
+    build = net._build_chunk_ops
+
+    def recording(request, plan, subtopo, model, plan_key):
+        chunk_ops = build(request, plan, subtopo, model, plan_key)
+        log.append(
+            (
+                plan_key,
+                tuple(
+                    tuple(
+                        (
+                            op.parent_dim,
+                            op.stage,
+                            op.bytes_sent,
+                            op.transfer_time,
+                            op.fixed_time,
+                        )
+                        for op in ops
+                    )
+                    for ops in chunk_ops
+                ),
+            )
+        )
+        return chunk_ops
+
+    net._build_chunk_ops = recording
+    return log
+
+
+class TestAggregateMemo:
+    """Per-dimension aggregates are summed once per plan-cache key."""
+
+    def _outcome(self, report) -> tuple:
+        return (
+            report.events,
+            report.makespan,
+            report.payload["mean_jct"],
+            report.payload["total_jobs"],
+            tuple(j["jct"] for j in report.payload["jobs"]),
+        )
+
+    def test_open_loop_bit_identical_with_plan_cache_off(self, monkeypatch):
+        spec = _open_loop_spec("fluid", 256)
+        memoized = _capture_fluid_networks(monkeypatch)
+        with_memo = self._outcome(api.run(spec))
+        assert memoized[0]._aggregates  # the memo was used
+        monkeypatch.undo()
+        fresh = _capture_fluid_networks(monkeypatch, plan_cache=False)
+        without_memo = self._outcome(api.run(spec))
+        assert not fresh[0]._aggregates  # key None: no memo at all
+        assert with_memo == without_memo
+
+    def _faulted_submissions(self, plan_cache: bool) -> tuple[FluidNetwork, list]:
+        net = get_backend("fluid").build(
+            _2d(),
+            scheduler=SchedulerFactory("themis", splitter=Splitter(64)),
+            plan_cache=plan_cache,
+        )
+        net.apply_fault_schedule(
+            FaultSchedule(
+                (LinkFault(dim_index=0, start=2e-3, factor=0.25, duration=2e-3),)
+            )
+        )
+        log = _record_chunk_ops(net)
+        # before, during and after the degradation of dim 0
+        for at_time in (0.0, 3e-3, 5e-3):
+            net.submit(
+                CollectiveRequest(CollectiveType.ALL_REDUCE, 64 * MB),
+                at_time=at_time,
+            )
+        net.run()
+        return net, log
+
+    def test_no_aggregate_crosses_fault_states(self):
+        net, memoized = self._faulted_submissions(plan_cache=True)
+        _, fresh = self._faulted_submissions(plan_cache=False)
+        assert [ops for _, ops in memoized] == [ops for _, ops in fresh]
+        before, during, after = memoized
+        # the degraded state plans (and aggregates) differently, under a
+        # key that carries the live capacity factors
+        assert during[1] != before[1]
+        assert during[0] == before[0] + ((0.25, 1.0),)
+        assert after == before
+        assert set(net._aggregates) == {before[0], during[0]}
+
+    def _op_list_lengths(self, *, hybrid: bool) -> list[int]:
+        net = get_backend("fluid").build(
+            _2d(),
+            scheduler=SchedulerFactory("themis", splitter=Splitter(64)),
+            options={"hybrid": hybrid},
+        )
+        log = _record_chunk_ops(net)
+        net.submit(CollectiveRequest(CollectiveType.ALL_REDUCE, 64 * MB))
+        net.run()
+        # arm after the first submission has memoized this plan key
+        net.enable_preemption()
+        net.submit(CollectiveRequest(CollectiveType.ALL_REDUCE, 64 * MB))
+        net.run()
+        assert log[0][0] == log[1][0]
+        return [len(ops) for _, ops in log]
+
+    def test_armed_preemption_checked_live(self):
+        # hybrid on: fluidized (one flow per dim), then exact per-chunk ops
+        assert self._op_list_lengths(hybrid=True) == [2, 64]
+
+    def test_hybrid_off_fluidizes_under_preemption(self):
+        assert self._op_list_lengths(hybrid=False) == [2, 2]
+
+
+class TestLatencyModelWork:
+    """Deterministic work counter: lookups scale with plan keys, not jobs."""
+
+    def test_lookups_bounded_by_distinct_plan_keys(self, monkeypatch):
+        calls = {"n": 0}
+        for name in ("bytes_per_npu", "chunk_load", "fixed_latency"):
+            original = getattr(LatencyModel, name)
+
+            def counted(*args, _original=original, **kwargs):
+                calls["n"] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(LatencyModel, name, counted)
+        built = _capture_fluid_networks(monkeypatch)
+        submissions = {"n": 0}
+        net_submit = NetworkSimulator.submit
+
+        def counted_submit(self, *args, **kwargs):
+            submissions["n"] += 1
+            return net_submit(self, *args, **kwargs)
+
+        monkeypatch.setattr(NetworkSimulator, "submit", counted_submit)
+        report = api.run(_open_loop_spec("fluid", 512))
+        assert report.payload["total_jobs"] == 512
+        keys = len(built[0]._aggregates)
+        assert submissions["n"] >= 512
+        # One 64-chunk, two-dim All-Reduce costs 64 x 4 stages x 3 lookups
+        # to collapse; without the memo every submission pays it (~500k).
+        assert calls["n"] <= 2 * 64 * 4 * 3 * keys
+        assert calls["n"] < 5_000
 
 
 class TestHeadsHeap:
