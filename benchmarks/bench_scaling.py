@@ -11,18 +11,12 @@ network and measures, per cell:
 * simulated makespan / mean JCT (sanity: the *simulated* outcome must not
   depend on how fast we computed it).
 
-``--compare-legacy`` additionally re-runs every cell on the pre-indexing
-reference path (flat-list ready queues, no plan/consistency caches, no
-event cancellation — ``ClusterConfig(optimized=False)``), reports the
-speedup, and asserts the per-job JCTs are bit-identical — the determinism
-property the optimization preserves.
-
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_scaling.py                # full matrix
     PYTHONPATH=src python benchmarks/bench_scaling.py --quick        # CI smoke
     PYTHONPATH=src python benchmarks/bench_scaling.py \
-        --jobs 64 --policies weighted,ftf --compare-legacy           # headline
+        --jobs 64 --policies weighted,ftf                            # headline
     PYTHONPATH=src python benchmarks/bench_scaling.py --json out.json
 
 The JSON this emits (via ``run_all.py --json``) is the repo's tracked perf
@@ -124,7 +118,6 @@ def run_cell(
     n_jobs: int,
     policy: str,
     *,
-    optimized: bool,
     iterations: int,
     chunks: int,
     isolated_cache: dict,
@@ -134,7 +127,6 @@ def run_cell(
         training=TrainingConfig(chunks_per_collective=chunks),
         isolated_baselines=False,
         fairness=policy,
-        optimized=optimized,
     )
     jobs = make_jobs(n_jobs, iterations)
     sim = ClusterSimulator(
@@ -153,7 +145,6 @@ def run_cell(
     return {
         "jobs": n_jobs,
         "policy": policy,
-        "optimized": optimized,
         "wall_seconds": wall,
         "events": engine.events_processed,
         "events_per_second": engine.events_processed / wall if wall > 0 else 0.0,
@@ -163,7 +154,6 @@ def run_cell(
         "compactions": engine.compactions,
         "makespan": report.makespan,
         "mean_jct": sum(jcts) / len(jcts),
-        "jcts": jcts,
     }
 
 
@@ -439,7 +429,6 @@ def run_matrix(
     *,
     iterations: int = 2,
     chunks: int = 8,
-    compare_legacy: bool = False,
     open_loop_arrivals: "int | None" = DEFAULT_OPEN_LOOP_ARRIVALS,
     degraded_jobs: "int | None" = 16,
     backend_fidelity_jobs: "int | None" = 8,
@@ -453,36 +442,11 @@ def run_matrix(
             cell = run_cell(
                 n_jobs,
                 policy,
-                optimized=True,
                 iterations=iterations,
                 chunks=chunks,
                 isolated_cache=isolated_cache,
             )
-            entry = {
-                "jobs": n_jobs,
-                "policy": policy,
-                "optimized": {k: v for k, v in cell.items() if k != "jcts"},
-                "legacy": None,
-                "speedup": None,
-            }
-            if compare_legacy:
-                legacy = run_cell(
-                    n_jobs,
-                    policy,
-                    optimized=False,
-                    iterations=iterations,
-                    chunks=chunks,
-                    isolated_cache=isolated_cache,
-                )
-                if legacy["jcts"] != cell["jcts"]:
-                    raise AssertionError(
-                        f"determinism violated: optimized and legacy JCTs "
-                        f"differ for {n_jobs} jobs / {policy}"
-                    )
-                entry["legacy"] = {
-                    k: v for k, v in legacy.items() if k != "jcts"
-                }
-                entry["speedup"] = legacy["wall_seconds"] / cell["wall_seconds"]
+            entry = {"jobs": n_jobs, "policy": policy, "optimized": cell}
             cells.append(entry)
             _print_cell(entry)
     return {
@@ -493,7 +457,6 @@ def run_matrix(
             "iterations": iterations,
             "chunks_per_collective": chunks,
             "topology": bench_topology().name,
-            "compare_legacy": compare_legacy,
             "open_loop_arrivals": open_loop_arrivals,
             "degraded_jobs": degraded_jobs,
             "backend_fidelity_jobs": backend_fidelity_jobs,
@@ -523,20 +486,14 @@ def run_matrix(
 
 def _print_cell(entry: dict) -> None:
     opt = entry["optimized"]
-    line = (
+    print(
         f"{entry['jobs']:3d} jobs  {entry['policy']:9s} "
         f"wall={opt['wall_seconds'] * 1000:8.1f}ms "
         f"ev/s={opt['events_per_second'] / 1000:7.1f}k "
         f"peak_heap={opt['peak_pending_events']:6d} "
-        f"compactions={opt['compactions']:3d}"
+        f"compactions={opt['compactions']:3d}",
+        flush=True,
     )
-    if entry["legacy"] is not None:
-        line += (
-            f"  | legacy wall={entry['legacy']['wall_seconds'] * 1000:8.1f}ms "
-            f"peak_heap={entry['legacy']['peak_pending_events']:6d} "
-            f"speedup={entry['speedup']:.2f}x"
-        )
-    print(line, flush=True)
 
 
 def main(argv: list[str] | None = None) -> dict:
@@ -557,11 +514,6 @@ def main(argv: list[str] | None = None) -> dict:
         "--quick",
         action="store_true",
         help="reduced matrix for CI smoke runs (8/16 jobs, all policies)",
-    )
-    parser.add_argument(
-        "--compare-legacy",
-        action="store_true",
-        help="also run the pre-indexing reference path and report speedups",
     )
     parser.add_argument("--json", metavar="PATH", help="write results as JSON")
     parser.add_argument(
@@ -619,7 +571,6 @@ def main(argv: list[str] | None = None) -> dict:
         policies,
         iterations=args.iterations,
         chunks=args.chunks,
-        compare_legacy=args.compare_legacy,
         open_loop_arrivals=open_loop_arrivals,
         degraded_jobs=degraded_jobs,
         backend_fidelity_jobs=backend_fidelity_jobs,

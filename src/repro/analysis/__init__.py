@@ -3,7 +3,6 @@
 from .provisioning import (
     PairAssessment,
     ProvisioningReport,
-    ProvisioningScenario,
     ProvisioningVerdict,
     assess,
     classify_pair,
@@ -21,7 +20,6 @@ from .sweep import (
 from .tables import format_table, ms, pct, ratio, us
 
 __all__ = [
-    "ProvisioningScenario",
     "ProvisioningVerdict",
     "PairAssessment",
     "ProvisioningReport",

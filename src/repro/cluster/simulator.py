@@ -71,12 +71,6 @@ class ClusterConfig:
     :class:`OpRecord` collection grows without bound across hundreds of
     jobs and no cluster metric reads it.  Turn it on to inspect shared-
     network timelines (``sim.network.result().records``).
-
-    ``optimized`` selects the hot-path implementation: the indexed ready
-    queues, plan/consistency caches, and event cancellation (default), or
-    the pre-indexing reference path — kept so the determinism property
-    tests and ``benchmarks/bench_scaling.py --compare-legacy`` can compare
-    the two.
     """
 
     training: TrainingConfig | None = None
@@ -84,7 +78,6 @@ class ClusterConfig:
     fairness: FairnessPolicy | str | None = None
     placement: PlacementPolicy | str | None = None
     record_ops: bool = False
-    optimized: bool = True
     #: Runtime invariant auditing (repro.sim.audit): ``True``/``False``
     #: force it on/off; ``None`` defers to ``THEMIS_AUDIT``.  Observer-only
     #: — the timeline is bit-identical either way.
@@ -216,8 +209,8 @@ class _JobDriver:
         self.lost_work = 0.0
         self._crash_pending = False
         #: Staleness guard for crash timers: events drawn for an earlier
-        #: attempt carry an old generation and are ignored (the engine may
-        #: run with cancellation off, so guards carry correctness).
+        #: attempt carry an old generation and are ignored (crash timers
+        #: are never cancelled, so this guard carries correctness).
         self._crash_generation = 0
         #: Rollback anchor: time of the last checkpoint (or attempt start).
         self._checkpoint_time = 0.0
@@ -495,7 +488,7 @@ class ClusterSimulator:
         #: Highest simultaneous admitted-job count seen so far.
         self.peak_live_jobs = 0
         self._isolated_cache = isolated_cache if isolated_cache is not None else {}
-        self.engine = EventQueue(cancellation=self.config.optimized)
+        self.engine = EventQueue()
         self._splitter = Splitter(self.training_config.chunks_per_collective)
         from ..sim.backends import get_backend, resolve_backend_key
 
@@ -524,8 +517,6 @@ class ClusterSimulator:
             fusion=self.training_config.fusion,
             engine=self.engine,
             record_ops=self.config.record_ops,
-            indexed_queues=self.config.optimized,
-            plan_cache=self.config.optimized,
             audit=self.config.audit,
             options=self.config.backend_options,
         )

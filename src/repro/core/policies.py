@@ -18,18 +18,18 @@ the executor's concern.
 A policy also supplies the *ready-queue structure* the executor keeps its
 ready ops in (:meth:`IntraDimPolicy.make_queue`): each policy's heap is
 keyed by its own ``sort_key``, so selection is O(log n) instead of the
-linear ``select(list)`` scan — which remains available for compatibility
-(and as the reference path for the determinism property tests).
+linear ``select(list)`` scan.  The scan stays as the minimum
+:class:`~repro.core.ready_queue.ListReadyQueue` takes, the reference the
+determinism property tests compare the heap against.
 """
 
 from __future__ import annotations
 
 import abc
-from collections.abc import Iterable
 from typing import TYPE_CHECKING
 
 from ..errors import ConfigError
-from .ready_queue import IndexedReadyQueue, ListReadyQueue, ReadyQueue
+from .ready_queue import IndexedReadyQueue, ReadyQueue
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from ..sim.executor import OpState
@@ -50,26 +50,14 @@ class IntraDimPolicy(abc.ABC):
             raise ConfigError("policy invoked with no ready ops")
         return min(ready_ops, key=self.sort_key)
 
-    def make_queue(self, indexed: bool = True) -> ReadyQueue:
+    def make_queue(self) -> ReadyQueue:
         """Build this policy's ready-queue structure for one channel.
 
-        The default indexed structure is a lazy-deletion heap ordered by
-        this policy's ``sort_key`` (the key *is* the policy, so FIFO gets
-        an arrival-order heap, SCF/LCF size-order heaps).  ``indexed=False``
-        returns the seed-semantics flat list for reference comparisons.
+        A lazy-deletion heap ordered by this policy's ``sort_key`` (the key
+        *is* the policy, so FIFO gets an arrival-order heap, SCF/LCF
+        size-order heaps).
         """
-        if indexed:
-            return IndexedReadyQueue(self.sort_key)
-        return ListReadyQueue(self)
-
-    def select_from(
-        self,
-        queue: ReadyQueue,
-        owner: str | None = None,
-        exclude_owners: Iterable[str] | None = None,
-    ) -> "OpState | None":
-        """Best eligible op in ``queue`` under this policy, or ``None``."""
-        return queue.select(owner=owner, exclude_owners=exclude_owners)
+        return IndexedReadyQueue(self.sort_key)
 
 
 class FifoPolicy(IntraDimPolicy):

@@ -14,17 +14,16 @@ decision is O(log n):
   per-tenant admission, and a parking map for ops blocked by an enforced
   per-collective order (Sec. 4.6.2) — a blocked op is unparked the moment
   it becomes its order's head, so eligibility never requires a scan.
-* :class:`ListReadyQueue` — the seed semantics, kept as the reference for
-  the determinism property tests (``tests/test_perf_equivalence.py``) and
-  for the perf harness's before/after comparison
-  (``benchmarks/bench_scaling.py --compare-legacy``).
+* :class:`ListReadyQueue` — the seed semantics, kept as the reference the
+  determinism property tests (``tests/test_perf_equivalence.py``) compare
+  the indexed structure against.
 
-Both present the same interface, selected via
-``IntraDimPolicy.make_queue(indexed=...)``; selection goes through
-``IntraDimPolicy.select_from``.  Identical op sets yield identical
-selections in either implementation: the sort keys are total orders
-(they end in the unique ``(collective_seq, chunk_id, stage_index)``
-identity), so a heap minimum equals a linear-scan minimum.
+Both present the same interface; ``IntraDimPolicy.make_queue`` builds the
+indexed one, and channels select through ``ReadyQueue.select``.  Identical
+op sets yield identical selections in either implementation: the sort
+keys are total orders (they end in the unique ``(collective_seq,
+chunk_id, stage_index)`` identity), so a heap minimum equals a
+linear-scan minimum.
 """
 
 from __future__ import annotations
@@ -346,9 +345,8 @@ class IndexedReadyQueue(ReadyQueue):
 class ListReadyQueue(ReadyQueue):
     """Seed-semantics flat list: linear scans, ``policy.select`` minima.
 
-    O(n) per decision — kept only as the reference implementation for the
-    determinism property tests and the perf harness's ``--compare-legacy``
-    mode.
+    O(n) per decision — kept only as the reference implementation the
+    determinism property tests compare against.
     """
 
     def __init__(self, policy: "IntraDimPolicy") -> None:

@@ -44,8 +44,6 @@ class AnalyticalBackend(NetworkBackend):
         fusion: "FusionConfig | None" = None,
         engine: "EventQueue | None" = None,
         record_ops: bool = True,
-        indexed_queues: bool = True,
-        plan_cache: bool = True,
         audit: bool | None = None,
         options: dict[str, Any] | None = None,
     ) -> NetworkSimulator:
@@ -57,7 +55,5 @@ class AnalyticalBackend(NetworkBackend):
             fusion=fusion,
             engine=engine,
             record_ops=record_ops,
-            indexed_queues=indexed_queues,
-            plan_cache=plan_cache,
             audit=audit,
         )

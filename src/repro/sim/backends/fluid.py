@@ -36,8 +36,8 @@ Concretely, :class:`FluidNetwork` is a :class:`NetworkSimulator` whose
   :class:`~repro.sim.executor.OpState` objects from them.  The key carries
   the live capacity factors whenever a dimension is degraded, so no
   aggregate crosses fault states.  The memo is on exactly when the plan
-  cache is: with ``plan_cache=False`` or a subclassed scheduler factory
-  (key ``None``) every submission is collapsed afresh;
+  cache is: under a subclassed scheduler factory (key ``None``) every
+  submission is collapsed afresh;
 * simultaneous rate changes coalesce across channels
   (:class:`~repro.sim.executor.FlowCoalescer`): a same-instant burst of
   flow starts/finishes/reweights recomputes each channel's rates once
@@ -50,7 +50,7 @@ where precision matters (``hybrid=True``, the default):
   scheduler has planned, never changes what it sees;
 * **fault transitions** always take the exact path: capacity changes
   recompute rates immediately (never coalesced) through the same
-  generation-guarded banking the analytical backend uses, so byte
+  bank-cancel-re-arm path the analytical backend uses, so byte
   conservation holds across every rate-change point;
 * **priority preemption boundaries**: arming preemption switches the
   channels to strict-priority sharing (only the highest-priority in-flight
@@ -157,8 +157,6 @@ class FluidNetwork(NetworkSimulator):
         fusion: "FusionConfig | None" = None,
         engine: "EventQueue | None" = None,
         record_ops: bool = True,
-        indexed_queues: bool = True,
-        plan_cache: bool = True,
         audit: bool | None = None,
         options: FluidOptions | None = None,
     ) -> None:
@@ -169,8 +167,6 @@ class FluidNetwork(NetworkSimulator):
             fusion=fusion,
             engine=engine,
             record_ops=record_ops,
-            indexed_queues=indexed_queues,
-            plan_cache=plan_cache,
             audit=audit,
         )
         self.options = options or FluidOptions()
@@ -327,8 +323,6 @@ class FluidBackend(NetworkBackend):
         fusion: "FusionConfig | None" = None,
         engine: "EventQueue | None" = None,
         record_ops: bool = True,
-        indexed_queues: bool = True,
-        plan_cache: bool = True,
         audit: bool | None = None,
         options: dict[str, Any] | None = None,
     ) -> FluidNetwork:
@@ -339,8 +333,6 @@ class FluidBackend(NetworkBackend):
             fusion=fusion,
             engine=engine,
             record_ops=record_ops,
-            indexed_queues=indexed_queues,
-            plan_cache=plan_cache,
             audit=audit,
             options=FluidOptions.from_dict(options),
         )

@@ -46,8 +46,6 @@ class IdealBackend(NetworkBackend):
         fusion: "FusionConfig | None" = None,
         engine: "EventQueue | None" = None,
         record_ops: bool = True,
-        indexed_queues: bool = True,
-        plan_cache: bool = True,
         audit: bool | None = None,
         options: dict[str, Any] | None = None,
     ) -> IdealNetwork:

@@ -28,9 +28,10 @@ Where the analytical backend charges each chunk op a closed-form
   cost one propagation plus one packet serialization each, appended to
   the delivery time;
 * :class:`~repro.sim.faults.FaultSchedule` events rescale the port rates
-  (a factor of zero parks arriving flows until a restore), feeding the
-  same degraded :class:`ScaledLatencyModel` planning input as the
-  analytical backend so Themis stays bandwidth-aware under faults.
+  (a factor of zero parks arriving flows until a restore), and plans go
+  through the analytical backend's
+  :class:`~repro.sim.network.CollectivePlanner`, whose degraded planning
+  input keeps Themis bandwidth-aware under faults.
 
 Per op the model yields ``queue wait + n x (1 + header/MTU) / BW +
 steps x step_latency + (steps - 1) x pkt_ser + store-and-forward``: as
@@ -53,12 +54,11 @@ from __future__ import annotations
 import hashlib
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from fractions import Fraction
 from typing import TYPE_CHECKING, Any, ClassVar
 
-from ...collectives.registry import algorithms_for_topology
 from ...collectives.types import CollectiveRequest
-from ...core.chunk import CollectivePlan
 from ...core.latency_model import LatencyModel
 from ...core.scheduler import SchedulerFactory
 from ...errors import ConfigError, SimulationError
@@ -70,14 +70,15 @@ from ..executor import OpState
 from ..faults import (
     FaultSchedule,
     LinkFault,
-    ScaledLatencyModel,
     compose_factors,
 )
 from ..network import (
+    CollectivePlanner,
     CollectiveResult,
     ExecutionResult,
     _check_not_past,
     _CollectiveState,
+    exact_chunk_ops,
 )
 from ..timeline import Interval, OpRecord, merge_intervals
 from .base import NetworkBackend
@@ -165,34 +166,29 @@ class PacketOptions:
         )
 
 
-#: Relative distance below which a bytes/MTU quotient counts as a whole
-#: number of packets (the engine's float round-off scale, ``times_close``).
-_PACKET_SNAP_RTOL = 1e-12
-
-
 def packetize(nbytes: float, mtu_bytes: float) -> list[float]:
     """Split a byte volume into MTU-bounded payloads.
 
     Full packets carry exactly ``mtu_bytes``; the remainder rides in the
     final packet, so the payloads sum back to ``nbytes`` (byte
-    conservation — property-tested across MTU choices).
+    conservation — property-tested across MTU choices).  The count is
+    ``ceil(nbytes / mtu_bytes)``, so an exact multiple grows no runt
+    packet; callers that pick the MTU from a packet budget size it so the
+    quotient does not round past the budget (see ``_flow_state``).
     """
     if nbytes <= 0:
         return []
-    # Count from the quotient, snapped to a whole number within float
-    # round-off so an exact multiple grows no runt packet (one that would
-    # pay a full header), and derive the last payload from the count.
-    quotient = nbytes / mtu_bytes
-    nearest = round(quotient)
-    if abs(quotient - nearest) <= _PACKET_SNAP_RTOL * quotient:
-        count = nearest
-    else:
-        count = math.ceil(quotient)
-    # Round-off can leave the derived tail a few ulps of ``nbytes`` past
-    # the MTU; clamp it (the bytes dropped are far below the conservation
+    count = math.ceil(nbytes / mtu_bytes)
+    last = nbytes - (count - 1) * mtu_bytes
+    if last <= 0:
+        # The quotient exceeds ``count - 1``, so the true remainder is
+        # positive, but below the resolution of ``nbytes``: the float
+        # product rounded onto ``nbytes``.  Take it exactly.
+        last = float(Fraction(nbytes) - (count - 1) * Fraction(mtu_bytes))
+    # Round-off can leave the tail a few ulps of ``nbytes`` past the MTU;
+    # clamp it (the bytes dropped are far below the conservation
     # tolerance).
-    last = min(nbytes - (count - 1) * mtu_bytes, mtu_bytes)
-    return [mtu_bytes] * (count - 1) + [last]
+    return [mtu_bytes] * (count - 1) + [min(last, mtu_bytes)]
 
 
 def lane_for_packet(
@@ -357,9 +353,10 @@ class _FlowState:
 class PacketNetwork:
     """Event-driven packet-level network (the ``"packet"`` backend).
 
-    Planning is shared with the analytical backend — the same scheduler
-    factories produce the same :class:`CollectivePlan` (including the
-    degraded-planning behavior under live faults) — only the *execution*
+    Planning is shared with the analytical backend through one
+    :class:`~repro.sim.network.CollectivePlanner` — the same scheduler
+    factories produce the same plan (including the degraded-planning
+    behavior under live faults) — only the *execution*
     of each chunk op differs: packetized rounds through FIFO ports
     instead of closed-form batches through fluid channels.  See the
     module docstring for the model.
@@ -376,7 +373,6 @@ class PacketNetwork:
         scheduler: SchedulerFactory | None = None,
         engine: EventQueue | None = None,
         record_ops: bool = True,
-        plan_cache: bool = True,
         audit: bool | None = None,
         options: PacketOptions | None = None,
         algorithm_overrides: dict[int, str] | None = None,
@@ -386,7 +382,7 @@ class PacketNetwork:
         self.engine = engine or EventQueue()
         self.options = options or PacketOptions()
         self.record_ops = record_ops
-        self.algorithm_overrides = dict(algorithm_overrides or {})
+        self.planner = CollectivePlanner(topology, algorithm_overrides)
         self.auditor: InvariantAuditor | None = None
         if resolve_audit(audit):
             self.auditor = self.engine.auditor or InvariantAuditor()
@@ -406,9 +402,6 @@ class PacketNetwork:
         self._results: list[CollectiveResult] = []
         self._records: list[OpRecord] = []
         self._records_sorted = True
-        self._subtopo_cache: dict[tuple, tuple[Topology, LatencyModel]] = {}
-        self._plan_cache_enabled = plan_cache
-        self._plan_cache: dict[tuple, CollectivePlan] = {}
         self._dim_transfer = [0.0] * len(self.channels)
         #: Flows parked on a zero-capacity dimension, resumed (in parking
         #: order) when a restore event lifts the factor above zero.
@@ -521,42 +514,6 @@ class PacketNetwork:
         )
         return result
 
-    def _resolve_subtopology(
-        self, request: CollectiveRequest
-    ) -> tuple[Topology, LatencyModel]:
-        key = request.communicator_key
-        cached = self._subtopo_cache.get(key)
-        if cached is not None:
-            return cached
-        if request.dim_indices is None:
-            subtopo = self.topology
-        else:
-            subtopo = self.topology.communicator(
-                request.dim_indices, request.peer_counts
-            )
-        local_overrides = {
-            local: self.algorithm_overrides[parent]
-            for local, parent in enumerate(subtopo.parent_indices)
-            if parent in self.algorithm_overrides
-        }
-        model = LatencyModel(
-            subtopo, algorithms_for_topology(subtopo, local_overrides)
-        )
-        self._subtopo_cache[key] = (subtopo, model)
-        return subtopo, model
-
-    def _plan_key(
-        self, request: CollectiveRequest, factory: SchedulerFactory
-    ) -> tuple | None:
-        if not self._plan_cache_enabled or type(factory) is not SchedulerFactory:
-            return None
-        return (
-            factory.signature,
-            request.ctype,
-            request.size,
-            request.communicator_key,
-        )
-
     def _start_collective(
         self,
         result: CollectiveResult,
@@ -564,62 +521,16 @@ class PacketNetwork:
         scheduler_factory: SchedulerFactory | None = None,
     ) -> None:
         request = result.request
-        subtopo, model = self._resolve_subtopology(request)
-        factory = scheduler_factory or self.scheduler_factory
-        plan_key = self._plan_key(request, factory)
-        # Degraded dimensions must look expensive to a bandwidth-aware
-        # scheduler — identical discipline to the analytical backend.
-        factors = tuple(group.capacity_factor for group in self.channels)
-        degraded = any(factor != 1.0 for factor in factors)
-        if degraded and plan_key is not None:
-            plan_key = plan_key + (factors,)
-        cached = self._plan_cache.get(plan_key) if plan_key is not None else None
-        if cached is not None:
-            plan = replace(
-                cached, request=request, issue_time=self.engine.now, metadata={}
-            )
-        else:
-            scheduler = factory.create()
-            plan_model: LatencyModel = model
-            if degraded:
-                local = tuple(
-                    factors[subtopo.parent_index(i)]
-                    for i in range(subtopo.ndims)
-                )
-                if any(factor != 1.0 for factor in local):
-                    plan_model = ScaledLatencyModel(model, local)
-            plan = scheduler.plan(
-                request, subtopo, plan_model, issue_time=self.engine.now
-            )
-            if plan_key is not None:
-                self._plan_cache[plan_key] = plan
+        subtopo, model = self.planner.resolve(request)
+        plan, _ = self.planner.plan(
+            request,
+            scheduler_factory or self.scheduler_factory,
+            tuple(group.capacity_factor for group in self.channels),
+            self.engine.now,
+        )
         result.plan = plan
-
-        chunk_ops: list[list[OpState]] = []
-        flows: list[_FlowState] = []
-        for chunk in plan.chunks:
-            ops = []
-            for stage_index, stage in enumerate(chunk.stages):
-                parent_dim = subtopo.parent_index(stage.dim_index)
-                op = OpState(
-                    collective_seq=request.request_id,
-                    chunk_id=chunk.chunk_id,
-                    stage_index=stage_index,
-                    stage=stage,
-                    parent_dim=parent_dim,
-                    bytes_sent=model.bytes_per_npu(
-                        stage.op, stage.stage_size, stage.dim_index
-                    ),
-                    transfer_time=model.chunk_load(
-                        stage.op, stage.stage_size, stage.dim_index
-                    ),
-                    fixed_time=model.fixed_latency(stage.op, stage.dim_index),
-                    priority=request.priority,
-                    owner=request.owner,
-                )
-                ops.append(op)
-            chunk_ops.append(ops)
-            flows.append(self._flow_for(ops[0], subtopo, model))
+        chunk_ops = exact_chunk_ops(request, plan, subtopo, model)
+        flows = [self._flow_for(ops[0], subtopo, model) for ops in chunk_ops]
 
         state = _CollectiveState(result, chunk_ops, on_complete)
         self._states[request.request_id] = state
@@ -643,6 +554,10 @@ class PacketNetwork:
         packets = math.ceil(op.bytes_sent / mtu)
         if packets > self.options.max_packets_per_op:
             mtu = op.bytes_sent / self.options.max_packets_per_op
+            # The quotient can round a few ulps past the budget, which
+            # would add a runt packet; widen the MTU by ulps until not.
+            while math.ceil(op.bytes_sent / mtu) > self.options.max_packets_per_op:
+                mtu = math.nextafter(mtu, math.inf)
         return _FlowState(op, rounds, mtu)
 
     def _start_flow(self, flow: _FlowState) -> None:
@@ -710,7 +625,7 @@ class PacketNetwork:
         ops = state.chunk_ops[op.chunk_id]
         next_index = op.stage_index + 1
         if next_index < len(ops):
-            subtopo, model = self._resolve_subtopology(state.result.request)
+            subtopo, model = self.planner.resolve(state.result.request)
             self._start_flow(self._flow_for(ops[next_index], subtopo, model))
         state.remaining_ops -= 1
         if state.remaining_ops == 0:
@@ -826,12 +741,10 @@ class PacketBackend(NetworkBackend):
         fusion: "FusionConfig | None" = None,
         engine: "EventQueue | None" = None,
         record_ops: bool = True,
-        indexed_queues: bool = True,
-        plan_cache: bool = True,
         audit: bool | None = None,
         options: dict[str, Any] | None = None,
     ) -> PacketNetwork:
-        # policy / fusion / indexed_queues are analytical-channel knobs
+        # policy / fusion are analytical-channel knobs
         # with no packet-level counterpart; accepted and ignored so all
         # backends build through one uniform call.
         return PacketNetwork(
@@ -839,7 +752,6 @@ class PacketBackend(NetworkBackend):
             scheduler=scheduler,
             engine=engine,
             record_ops=record_ops,
-            plan_cache=plan_cache,
             audit=audit,
             options=PacketOptions.from_dict(options),
         )

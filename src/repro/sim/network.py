@@ -164,6 +164,136 @@ class _CollectiveState:
         self.on_complete = on_complete
 
 
+def exact_chunk_ops(
+    request: CollectiveRequest,
+    plan: CollectivePlan,
+    subtopo: Topology,
+    model: LatencyModel,
+) -> list[list[OpState]]:
+    """One :class:`OpState` per (chunk, stage) of ``plan``, by ``chunk_id``."""
+    chunk_ops: list[list[OpState]] = []
+    for chunk in plan.chunks:
+        ops = []
+        for stage_index, stage in enumerate(chunk.stages):
+            ops.append(
+                OpState(
+                    collective_seq=request.request_id,
+                    chunk_id=chunk.chunk_id,
+                    stage_index=stage_index,
+                    stage=stage,
+                    parent_dim=subtopo.parent_index(stage.dim_index),
+                    bytes_sent=model.bytes_per_npu(
+                        stage.op, stage.stage_size, stage.dim_index
+                    ),
+                    transfer_time=model.chunk_load(
+                        stage.op, stage.stage_size, stage.dim_index
+                    ),
+                    fixed_time=model.fixed_latency(stage.op, stage.dim_index),
+                    priority=request.priority,
+                    owner=request.owner,
+                )
+            )
+        chunk_ops.append(ops)
+    return chunk_ops
+
+
+class CollectivePlanner:
+    """Sub-topology resolution and the load-independent plan cache.
+
+    One planner serves one network, and every backend that plans with the
+    exact schedulers shares it (the analytical and fluid simulators and
+    the packet network), so the plan-key rule lives here only.
+
+    A plan is a pure function of the request signature, the factory
+    configuration, and the live capacity factors: both built-in schedulers
+    are stateless across collectives (the Themis load tracker resets per
+    request) and a chunk's dimension order never depends on issue time,
+    priority, or owner.  Training loops that resubmit identical
+    collectives each iteration therefore plan only once.  Subclassed
+    factories may carry state, so they get no key and always plan afresh.
+    """
+
+    def __init__(
+        self, topology: Topology, algorithm_overrides: dict[int, str] | None = None
+    ) -> None:
+        self.topology = topology
+        self.algorithm_overrides = dict(algorithm_overrides or {})
+        self._subtopos: dict[tuple, tuple[Topology, LatencyModel]] = {}
+        self._plans: dict[tuple, CollectivePlan] = {}
+
+    def resolve(self, request: CollectiveRequest) -> tuple[Topology, LatencyModel]:
+        """The request's communicator topology and its latency model."""
+        key = request.communicator_key
+        cached = self._subtopos.get(key)
+        if cached is not None:
+            return cached
+        if request.dim_indices is None:
+            subtopo = self.topology
+        else:
+            subtopo = self.topology.communicator(
+                request.dim_indices, request.peer_counts
+            )
+        local_overrides = {
+            local: self.algorithm_overrides[parent]
+            for local, parent in enumerate(subtopo.parent_indices)
+            if parent in self.algorithm_overrides
+        }
+        model = LatencyModel(subtopo, algorithms_for_topology(subtopo, local_overrides))
+        self._subtopos[key] = (subtopo, model)
+        return subtopo, model
+
+    def key(
+        self, request: CollectiveRequest, factory: SchedulerFactory
+    ) -> tuple | None:
+        """Cache key for load-independent plans, or ``None`` (don't cache)."""
+        if type(factory) is not SchedulerFactory:
+            return None
+        return (
+            factory.signature,
+            request.ctype,
+            request.size,
+            request.communicator_key,
+        )
+
+    def plan(
+        self,
+        request: CollectiveRequest,
+        factory: SchedulerFactory,
+        factors: tuple[float, ...],
+        now: float,
+    ) -> tuple[CollectivePlan, tuple | None]:
+        """Plan ``request`` at time ``now``; returns the plan and its key.
+
+        ``factors`` are the live capacity factors of the parent
+        dimensions.  A degraded dimension must look expensive to a
+        bandwidth-aware scheduler, so the key then carries the factors and
+        plans made under different fault states never share a slot.  The
+        key (``None`` when uncached) also names the slot callers may
+        memoize their own per-plan work on.
+        """
+        subtopo, model = self.resolve(request)
+        key = self.key(request, factory)
+        degraded = any(factor != 1.0 for factor in factors)
+        if degraded and key is not None:
+            key = key + (factors,)
+        cached = self._plans.get(key) if key is not None else None
+        if cached is not None:
+            # The chunk schedules are shared; only the identity fields are
+            # re-stamped for this submission.
+            return replace(cached, request=request, issue_time=now, metadata={}), key
+        plan_model = model
+        if degraded:
+            local = tuple(
+                factors[subtopo.parent_index(i)] for i in range(subtopo.ndims)
+            )
+            if any(factor != 1.0 for factor in local):
+                plan_model = ScaledLatencyModel(model, local)
+        plan = factory.create().plan(request, subtopo, plan_model, issue_time=now)
+        if key is not None:
+            self._plans[key] = plan
+        return plan, key
+
+
 class NetworkSimulator:
     """Event-driven network that executes scheduled collectives.
 
@@ -194,22 +324,11 @@ class NetworkSimulator:
         analysis (timelines, Fig. 5/9 reproductions).  Cluster sweeps with
         hundreds of jobs turn it off: the per-op list grows without bound
         and none of the cluster metrics read it.
-    indexed_queues:
-        When True (default), dimension channels use the policy-indexed
-        ready queues (O(log n) per scheduling decision).  False selects the
-        seed-semantics flat-list scan — the reference path used by the
-        determinism property tests and the perf harness; when the simulator
-        also owns its engine, event cancellation is disabled with it so the
-        pre-indexing heap-growth behavior is reproduced faithfully.
-    plan_cache:
-        When True (default), load-independent :class:`CollectivePlan`s are
-        cached by request signature (schedulers are pure per collective —
-        the Themis tracker resets every request — so training loops that
-        resubmit identical collectives each iteration replan only once).
-        Enforced intra-dimension orders are cached under the same key,
-        which also skips the per-iteration consistency pre-simulation.
-        Caching applies only to plain :class:`SchedulerFactory` instances;
-        subclasses (e.g. replay factories) always plan afresh.
+
+    Plans come from a :class:`CollectivePlanner`, which caches them by
+    request signature.  Enforced intra-dimension orders are cached under
+    the same key, which also skips the per-iteration consistency
+    pre-simulation.
     """
 
     #: Capability flags read by backend-agnostic callers (the training
@@ -228,8 +347,6 @@ class NetworkSimulator:
         enforce_consistency: bool = False,
         algorithm_overrides: dict[int, str] | None = None,
         record_ops: bool = True,
-        indexed_queues: bool = True,
-        plan_cache: bool = True,
         audit: bool | None = None,
     ) -> None:
         self.topology = topology
@@ -238,11 +355,10 @@ class NetworkSimulator:
             policy if isinstance(policy, IntraDimPolicy) else get_policy(policy)
         )
         self.fusion = fusion or FusionConfig()
-        self.engine = engine or EventQueue(cancellation=indexed_queues)
+        self.engine = engine or EventQueue()
         self.enforce_consistency = enforce_consistency
-        self.algorithm_overrides = dict(algorithm_overrides or {})
+        self.planner = CollectivePlanner(topology, algorithm_overrides)
         self.record_ops = record_ops
-        self.indexed_queues = indexed_queues
         #: Runtime invariant auditor — ``None`` unless requested via the
         #: ``audit`` parameter or ``THEMIS_AUDIT=1`` (see repro.sim.audit).
         self.auditor: InvariantAuditor | None = None
@@ -259,7 +375,6 @@ class NetworkSimulator:
                 self.fusion,
                 self.engine,
                 self._on_batch_done,
-                indexed=indexed_queues,
             )
             for i, dim in enumerate(topology.dims)
         ]
@@ -271,9 +386,6 @@ class NetworkSimulator:
         self._results: list[CollectiveResult] = []
         self._records: list[OpRecord] = []
         self._records_sorted = True
-        self._subtopo_cache: dict[tuple, tuple[Topology, LatencyModel]] = {}
-        self._plan_cache_enabled = plan_cache
-        self._plan_cache: dict[tuple, CollectivePlan] = {}
         #: ``plan key -> {parent dim: [(chunk_id, stage_index), ...]}`` —
         #: enforced orders with the request id stripped, re-stamped per
         #: submission (op keys embed the submitting request's id).
@@ -426,51 +538,6 @@ class NetworkSimulator:
         )
         return result
 
-    def _resolve_subtopology(
-        self, request: CollectiveRequest
-    ) -> tuple[Topology, LatencyModel]:
-        key = request.communicator_key
-        cached = self._subtopo_cache.get(key)
-        if cached is not None:
-            return cached
-        if request.dim_indices is None:
-            subtopo = self.topology
-        else:
-            subtopo = self.topology.communicator(
-                request.dim_indices, request.peer_counts
-            )
-        local_overrides = {
-            local: self.algorithm_overrides[parent]
-            for local, parent in enumerate(subtopo.parent_indices)
-            if parent in self.algorithm_overrides
-        }
-        model = LatencyModel(
-            subtopo, algorithms_for_topology(subtopo, local_overrides)
-        )
-        self._subtopo_cache[key] = (subtopo, model)
-        return subtopo, model
-
-    def _plan_key(
-        self, request: CollectiveRequest, factory: SchedulerFactory
-    ) -> tuple | None:
-        """Cache key for load-independent plans, or ``None`` (don't cache).
-
-        A plan is a pure function of the request signature and the factory
-        configuration: both built-in schedulers are stateless across
-        collectives (the Themis load tracker resets per request) and a
-        chunk's dimension order never depends on issue time, priority, or
-        owner.  Subclassed factories may carry state, so only exact
-        :class:`SchedulerFactory` instances are cached.
-        """
-        if not self._plan_cache_enabled or type(factory) is not SchedulerFactory:
-            return None
-        return (
-            factory.signature,
-            request.ctype,
-            request.size,
-            request.communicator_key,
-        )
-
     def _start_collective(
         self,
         result: CollectiveResult,
@@ -478,38 +545,13 @@ class NetworkSimulator:
         scheduler_factory: SchedulerFactory | None = None,
     ) -> None:
         request = result.request
-        subtopo, model = self._resolve_subtopology(request)
-        factory = scheduler_factory or self.scheduler_factory
-        plan_key = self._plan_key(request, factory)
-        # Live capacity factors are part of the planning input: a degraded
-        # dimension must look expensive to a bandwidth-aware scheduler, so
-        # plans made under different fault states never share a cache slot.
-        factors = tuple(channel.capacity_factor for channel in self.channels)
-        degraded = any(factor != 1.0 for factor in factors)
-        if degraded and plan_key is not None:
-            plan_key = plan_key + (factors,)
-        cached = self._plan_cache.get(plan_key) if plan_key is not None else None
-        if cached is not None:
-            # The chunk schedules are shared; only the identity fields are
-            # re-stamped for this submission.
-            plan = replace(
-                cached, request=request, issue_time=self.engine.now, metadata={}
-            )
-        else:
-            scheduler = factory.create()
-            plan_model = model
-            if degraded:
-                local = tuple(
-                    factors[subtopo.parent_index(i)]
-                    for i in range(subtopo.ndims)
-                )
-                if any(factor != 1.0 for factor in local):
-                    plan_model = ScaledLatencyModel(model, local)
-            plan = scheduler.plan(
-                request, subtopo, plan_model, issue_time=self.engine.now
-            )
-            if plan_key is not None:
-                self._plan_cache[plan_key] = plan
+        subtopo, model = self.planner.resolve(request)
+        plan, plan_key = self.planner.plan(
+            request,
+            scheduler_factory or self.scheduler_factory,
+            tuple(channel.capacity_factor for channel in self.channels),
+            self.engine.now,
+        )
         result.plan = plan
 
         chunk_ops = self._build_chunk_ops(request, plan, subtopo, model, plan_key)
@@ -545,31 +587,7 @@ class NetworkSimulator:
         key shares ``plan.chunks``, so overrides may memoize what they
         derive from them on it.  The exact path ignores it.
         """
-        chunk_ops: list[list[OpState]] = []
-        for chunk in plan.chunks:
-            ops = []
-            for stage_index, stage in enumerate(chunk.stages):
-                parent_dim = subtopo.parent_index(stage.dim_index)
-                ops.append(
-                    OpState(
-                        collective_seq=request.request_id,
-                        chunk_id=chunk.chunk_id,
-                        stage_index=stage_index,
-                        stage=stage,
-                        parent_dim=parent_dim,
-                        bytes_sent=model.bytes_per_npu(
-                            stage.op, stage.stage_size, stage.dim_index
-                        ),
-                        transfer_time=model.chunk_load(
-                            stage.op, stage.stage_size, stage.dim_index
-                        ),
-                        fixed_time=model.fixed_latency(stage.op, stage.dim_index),
-                        priority=request.priority,
-                        owner=request.owner,
-                    )
-                )
-            chunk_ops.append(ops)
-        return chunk_ops
+        return exact_chunk_ops(request, plan, subtopo, model)
 
     def _install_enforced_orders(
         self, state: _CollectiveState, plan_key: tuple | None

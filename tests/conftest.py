@@ -7,6 +7,13 @@ same per-test budgets — so a gate built on it is reproducible rather than
 green by luck of the search:
 
     HYPOTHESIS_PROFILE=deterministic python -m pytest -x -q
+
+The ``exploratory`` profile is the opposite: a fresh random search on
+every run, with each property test's own ``max_examples`` scaled by
+``EXPLORATORY_BUDGET_SCALE``.  It backs a non-gating CI lane; a failure it
+finds is pinned as an ``@example`` regression in the gating suite:
+
+    HYPOTHESIS_PROFILE=exploratory python -m pytest -q tests/test_properties.py
 """
 
 from __future__ import annotations
@@ -18,8 +25,34 @@ from hypothesis import settings
 
 from repro.topology import Topology, dimension, get_topology
 
+PROFILE = os.environ.get("HYPOTHESIS_PROFILE", "default")
+EXPLORATORY_BUDGET_SCALE = 10
+
 settings.register_profile("deterministic", derandomize=True)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+settings.register_profile(
+    "exploratory", derandomize=False, max_examples=1000, print_blob=True
+)
+settings.load_profile(PROFILE)
+
+
+def pytest_collection_modifyitems(items: list[pytest.Item]) -> None:
+    """Scale every property test's budget under the exploratory profile.
+
+    An explicit ``@settings(max_examples=...)`` overrides any profile, so
+    the scaling rewrites the settings each ``@given`` test carries.
+    """
+    if PROFILE != "exploratory":
+        return
+    scaled = set()
+    for item in items:
+        test = getattr(item, "function", None)
+        current = getattr(test, "_hypothesis_internal_use_settings", None)
+        if current is None or test in scaled:
+            continue
+        scaled.add(test)
+        test._hypothesis_internal_use_settings = settings(
+            current, max_examples=current.max_examples * EXPLORATORY_BUDGET_SCALE
+        )
 
 
 @pytest.fixture

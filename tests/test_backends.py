@@ -24,6 +24,7 @@ Covered:
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 
@@ -40,6 +41,7 @@ from repro.sim import IdealNetwork, LinkFault, NetworkSimulator
 from repro.sim.backends import (
     DEFAULT_BACKEND,
     ROUTING_MODES,
+    NetworkBackend,
     PacketNetwork,
     PacketOptions,
     backend_names,
@@ -142,6 +144,19 @@ class TestBackendRegistry:
             PacketNetwork,
         )
 
+    @pytest.mark.parametrize("key", backend_names())
+    def test_build_accepts_exactly_the_interface_keywords(self, key):
+        """Per-backend ``build`` signatures cannot drift from the interface."""
+
+        def keywords(build):
+            return [
+                (name, param.kind, param.default)
+                for name, param in inspect.signature(build).parameters.items()
+            ]
+
+        implementation = type(get_backend(key)).build
+        assert keywords(implementation) == keywords(NetworkBackend.build)
+
     def test_analytical_rejects_options(self, small_2d):
         with pytest.raises(ConfigError, match="accepts no options"):
             get_backend("analytical").build(
@@ -172,6 +187,11 @@ class TestPacketize:
     # a 6e-8 B runt packet (144 packets where ceil gives 143).
     @example(nbytes=296564234.51618606, mtu=1775833.7396178807)
     @example(nbytes=473270551.9148364, mtu=3309584.27912473)
+    # A quotient 6e-13 above 25 is 26 packets, not 25; and one whose
+    # float tail ``nbytes - 108 * mtu`` rounds to zero keeps a positive
+    # 109th payload.
+    @example(nbytes=1953125.0, mtu=78124.99999999814)
+    @example(nbytes=651592973.07117, mtu=6033268.269177499)
     @settings(max_examples=100, deadline=None)
     def test_mtu_bound_and_count(self, nbytes, mtu):
         payloads = packetize(nbytes, mtu)

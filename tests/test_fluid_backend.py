@@ -18,7 +18,7 @@ Covered:
 * clean runs under the invariant auditor, including across fault-driven
   capacity transitions (byte conservation at rate-change points);
 * the aggregate memo: open-loop runs bit-identical with the plan cache
-  (and so the memo) off, no aggregate reused across fault states, armed
+  (and so the memo) patched off, no aggregate reused across fault states, armed
   preemption re-checked live on every submission, and a deterministic
   work counter — ``LatencyModel`` lookups scale with distinct plan keys,
   not with submissions;
@@ -37,6 +37,7 @@ from repro.collectives.phases import Stage
 from repro.core import SchedulerFactory, Splitter
 from repro.core.latency_model import LatencyModel
 from repro.core.policies import get_policy
+from repro.core.ready_queue import ListReadyQueue
 from repro.errors import ConfigError, SpecError
 from repro.sim import FaultSchedule, LinkFault, NetworkSimulator
 from repro.sim.backends import (
@@ -47,6 +48,7 @@ from repro.sim.backends import (
     get_backend,
 )
 from repro.sim.executor import OpState
+from repro.sim.network import CollectivePlanner
 from repro.topology import Topology, dimension, topology_to_dict
 from repro.units import MB
 
@@ -346,13 +348,12 @@ class TestHeadlineSpeedup:
         assert exact_events >= 20 * fluid_events
 
 
-def _capture_fluid_networks(monkeypatch, **overrides) -> list[FluidNetwork]:
-    """Record every network the fluid backend builds (build kwargs patched)."""
+def _capture_fluid_networks(monkeypatch) -> list[FluidNetwork]:
+    """Record every network the fluid backend builds."""
     built: list[FluidNetwork] = []
     original = FluidBackend.build
 
     def build(self, topology, **kwargs):
-        kwargs.update(overrides)
         net = original(self, topology, **kwargs)
         built.append(net)
         return net
@@ -392,6 +393,10 @@ def _record_chunk_ops(net: FluidNetwork) -> list[tuple]:
     return log
 
 
+class _UncachedFactory(SchedulerFactory):
+    """A subclassed factory: the planner never caches (or memoizes) its plans."""
+
+
 class TestAggregateMemo:
     """Per-dimension aggregates are summed once per plan-cache key."""
 
@@ -410,16 +415,17 @@ class TestAggregateMemo:
         with_memo = self._outcome(api.run(spec))
         assert memoized[0]._aggregates  # the memo was used
         monkeypatch.undo()
-        fresh = _capture_fluid_networks(monkeypatch, plan_cache=False)
+        fresh = _capture_fluid_networks(monkeypatch)
+        monkeypatch.setattr(CollectivePlanner, "key", lambda *args: None)
         without_memo = self._outcome(api.run(spec))
         assert not fresh[0]._aggregates  # key None: no memo at all
         assert with_memo == without_memo
 
-    def _faulted_submissions(self, plan_cache: bool) -> tuple[FluidNetwork, list]:
+    def _faulted_submissions(
+        self, factory: type[SchedulerFactory]
+    ) -> tuple[FluidNetwork, list]:
         net = get_backend("fluid").build(
-            _2d(),
-            scheduler=SchedulerFactory("themis", splitter=Splitter(64)),
-            plan_cache=plan_cache,
+            _2d(), scheduler=factory("themis", splitter=Splitter(64))
         )
         net.apply_fault_schedule(
             FaultSchedule(
@@ -437,8 +443,8 @@ class TestAggregateMemo:
         return net, log
 
     def test_no_aggregate_crosses_fault_states(self):
-        net, memoized = self._faulted_submissions(plan_cache=True)
-        _, fresh = self._faulted_submissions(plan_cache=False)
+        net, memoized = self._faulted_submissions(SchedulerFactory)
+        _, fresh = self._faulted_submissions(_UncachedFactory)
         assert [ops for _, ops in memoized] == [ops for _, ops in fresh]
         before, during, after = memoized
         # the degraded state plans (and aggregates) differently, under a
@@ -527,8 +533,8 @@ class TestHeadsHeap:
         rng = random.Random(11)
         for policy_key in ("FIFO", "SCF", "LCF"):
             policy = get_policy(policy_key)
-            indexed = policy.make_queue(indexed=True)
-            reference = policy.make_queue(indexed=False)
+            indexed = policy.make_queue()
+            reference = ListReadyQueue(policy)
             indexed.bind(lambda op: True)
             reference.bind(lambda op: True)
             ops = []

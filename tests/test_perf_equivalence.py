@@ -4,27 +4,52 @@ The indexed ready-queues, the plan/consistency caches, and event
 cancellation+compaction are pure performance changes — the paper's Sec.
 4.6.2 consistency mechanism depends on the simulation being deterministic,
 so the optimized path must produce *exactly* the timeline the seed
-implementation produced.  These tests run the same submissions through
-both implementations (``indexed_queues``/``plan_cache``/``optimized``
-toggles select the pre-indexing reference path, which preserves the seed
-semantics) and assert identical ``OpRecord`` timelines, completion orders,
-and cluster reports — exact float equality, no tolerances.
+implementation produced.  These tests run the same submissions twice —
+once as shipped, once under :func:`reference_path`, which swaps in the
+seed's flat-list ready queue (:class:`ListReadyQueue`) and plans every
+collective afresh — and assert identical ``OpRecord`` timelines,
+completion orders, and cluster reports — exact float equality, no
+tolerances.
 """
 
 from __future__ import annotations
+
+import contextlib
+from collections.abc import Iterator
 
 import pytest
 
 from repro.cluster import ClusterConfig, ClusterSimulator, JobSpec
 from repro.collectives import CollectiveRequest, CollectiveType
-from repro.core import SchedulerFactory, Splitter
+from repro.core import ListReadyQueue, SchedulerFactory, Splitter
+from repro.core.policies import IntraDimPolicy
 from repro.sim import EventQueue, FusionConfig, NetworkSimulator
+from repro.sim.network import CollectivePlanner
 from repro.topology import Topology, dimension
 from repro.training import TrainingConfig
 from repro.units import MB
 from repro.workloads import Layer, Workload
 
 POLICIES = ("fifo", "scf", "lcf")
+
+#: Peak pending events of the FTF cluster run below on the pre-indexing
+#: engine, which left every superseded finish event in the heap to fire as
+#: a stale no-op (measured before that engine mode was removed).
+LEGACY_FTF_PEAK_PENDING = 112
+
+
+@contextlib.contextmanager
+def reference_path() -> Iterator[None]:
+    """Run the seed reference: flat-list ready queues, no plan cache.
+
+    Every channel built inside the block scans a :class:`ListReadyQueue`,
+    and a ``None`` plan key makes the planner (and so the consistency-order
+    cache and the fluid memo keyed on it) plan every collective afresh.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(IntraDimPolicy, "make_queue", lambda self: ListReadyQueue(self))
+        patch.setattr(CollectivePlanner, "key", lambda self, request, factory: None)
+        yield
 
 
 def three_dim_topology() -> Topology:
@@ -91,15 +116,13 @@ def _timeline(sim: NetworkSimulator) -> tuple:
     return records, completions
 
 
-def _run_single(optimized: bool, policy: str, fusion_on: bool, enforce: bool) -> tuple:
+def _run_single(policy: str, fusion_on: bool, enforce: bool) -> tuple:
     sim = NetworkSimulator(
         three_dim_topology(),
         SchedulerFactory("themis", splitter=Splitter(8)),
         policy=policy,
         fusion=FusionConfig(enabled=fusion_on),
         enforce_consistency=enforce,
-        indexed_queues=optimized,
-        plan_cache=optimized,
     )
     _submit_mixed_workload(sim)
     return _timeline(sim)
@@ -110,24 +133,25 @@ class TestSingleSimulatorEquivalence:
     @pytest.mark.parametrize("fusion_on", [True, False])
     @pytest.mark.parametrize("enforce", [True, False])
     def test_identical_timelines(self, policy, fusion_on, enforce):
-        optimized = _run_single(True, policy, fusion_on, enforce)
-        reference = _run_single(False, policy, fusion_on, enforce)
+        optimized = _run_single(policy, fusion_on, enforce)
+        with reference_path():
+            reference = _run_single(policy, fusion_on, enforce)
         assert optimized == reference
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_baseline_scheduler_identical(self, policy):
-        def run(optimized: bool) -> tuple:
+        def run() -> tuple:
             sim = NetworkSimulator(
                 three_dim_topology(),
                 SchedulerFactory("baseline", splitter=Splitter(8)),
                 policy=policy,
-                indexed_queues=optimized,
-                plan_cache=optimized,
             )
             _submit_mixed_workload(sim)
             return _timeline(sim)
 
-        assert run(True) == run(False)
+        optimized = run()
+        with reference_path():
+            assert optimized == run()
 
 
 def _comm_heavy(layers: int, param_mb: float, name: str) -> Workload:
@@ -166,12 +190,11 @@ def _cluster_jobs() -> list[JobSpec]:
     ]
 
 
-def _cluster_report(optimized: bool, fairness: str):
+def _cluster_report(fairness: str):
     config = ClusterConfig(
         training=TrainingConfig(chunks_per_collective=16),
         isolated_baselines=False,
         fairness=fairness,
-        optimized=optimized,
     )
     sim = ClusterSimulator(three_dim_topology(), _cluster_jobs(), config)
     report = sim.run()
@@ -185,8 +208,9 @@ class TestClusterEquivalence:
 
     @pytest.mark.parametrize("fairness", ["fifo", "weighted", "ftf", "preempt"])
     def test_identical_cluster_stats(self, fairness):
-        optimized, opt_sim = _cluster_report(True, fairness)
-        reference, ref_sim = _cluster_report(False, fairness)
+        optimized, opt_sim = _cluster_report(fairness)
+        with reference_path():
+            reference, ref_sim = _cluster_report(fairness)
         assert [j.jct for j in optimized.jobs] == [j.jct for j in reference.jobs]
         assert optimized.makespan == reference.makespan
         assert optimized.preemption_count == reference.preemption_count
@@ -197,13 +221,13 @@ class TestClusterEquivalence:
         assert opt_result.dim_transfer_seconds == ref_result.dim_transfer_seconds
 
     def test_reweight_storm_keeps_heap_bounded(self):
-        """The legacy path's heap grows with every reweight; the optimized
-        path cancels superseded finish events, so its peak pending count
-        stays a small multiple of the in-flight work."""
-        _, opt_sim = _cluster_report(True, "ftf")
-        _, ref_sim = _cluster_report(False, "ftf")
-        assert opt_sim.engine.peak_pending < ref_sim.engine.peak_pending
-        assert opt_sim.engine.cancelled_events > 0
+        """The legacy engine's heap grew with every reweight; cancelling
+        superseded finish events keeps the peak pending count a small
+        multiple of the in-flight work."""
+        _, sim = _cluster_report("ftf")
+        # 15 when the legacy figure was measured: a 7x smaller peak.
+        assert sim.engine.peak_pending * 4 < LEGACY_FTF_PEAK_PENDING
+        assert sim.engine.cancelled_events > 0
 
 
 class TestAuditEquivalence:
@@ -256,17 +280,16 @@ class TestSharedEngineEquivalence:
         """The training/cluster layers share one engine across simulators;
         the optimized path must interleave identically."""
 
-        def run(optimized: bool) -> tuple:
-            engine = EventQueue(cancellation=optimized)
+        def run() -> tuple:
             sim = NetworkSimulator(
                 three_dim_topology(),
                 SchedulerFactory("themis", splitter=Splitter(4)),
                 policy="scf",
-                engine=engine,
-                indexed_queues=optimized,
-                plan_cache=optimized,
+                engine=EventQueue(),
             )
             _submit_mixed_workload(sim)
             return _timeline(sim)
 
-        assert run(True) == run(False)
+        optimized = run()
+        with reference_path():
+            assert optimized == run()

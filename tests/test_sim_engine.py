@@ -4,10 +4,67 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import SimulationError
-from repro.sim import EventQueue, Interval, merge_intervals, total_length
-from repro.sim.timeline import OpRecord, render_gantt
 from repro.collectives import PhaseOp
+from repro.collectives.phases import Stage
+from repro.core import get_policy
+from repro.errors import SimulationError
+from repro.sim import (
+    EventQueue,
+    FusionConfig,
+    Interval,
+    merge_intervals,
+    total_length,
+)
+from repro.sim.executor import DimensionChannel, OpState
+from repro.sim.timeline import OpRecord, render_gantt
+from repro.topology import dimension
+
+
+def _channel_op(seq: int, transfer: float, priority: int = 0, owner: str = ""):
+    return OpState(
+        collective_seq=seq,
+        chunk_id=0,
+        stage_index=0,
+        stage=Stage(dim_index=0, op=PhaseOp.RS, stage_size=1.0),
+        parent_dim=0,
+        bytes_sent=transfer * 1e9,
+        transfer_time=transfer,
+        fixed_time=1e-3,
+        priority=priority,
+        owner=owner,
+    )
+
+
+def _reweight_storm(channel: DimensionChannel, engine: EventQueue) -> int:
+    """Two weighted flows; five reweights while both are in flight."""
+    channel.set_share_weights({"a": 1.0, "b": 1.0})
+    channel.enqueue(_channel_op(0, 1.0, owner="a"))
+    channel.enqueue(_channel_op(1, 1.0, owner="b"))
+    for step in range(1, 6):
+        weights = {"a": float(step + 1), "b": 1.0}
+        engine.schedule(0.1 * step, lambda w=weights: channel.set_share_weights(w))
+    # b's arrival re-arms a; each reweight re-arms both; a's finish re-arms b
+    return 1 + 5 * 2 + 1
+
+
+def _preempt_resume(channel: DimensionChannel, engine: EventQueue) -> int:
+    """A low-priority batch on the serial wire, preempted twice."""
+    channel.enable_preemption()
+    channel.enqueue(_channel_op(0, 1.0))
+    engine.schedule(0.2, lambda: channel.enqueue(_channel_op(1, 0.1, priority=1)))
+    engine.schedule(0.6, lambda: channel.enqueue(_channel_op(2, 0.1, priority=1)))
+    # each preemption retracts the segment's release and completion
+    return 2 * 2
+
+
+def _capacity_change(channel: DimensionChannel, engine: EventQueue) -> int:
+    """A serial-wire batch degraded, failed, then restored mid-transfer."""
+    channel.enqueue(_channel_op(0, 1.0))
+    engine.schedule(0.25, lambda: channel.set_capacity_factor(0.5))
+    engine.schedule(0.5, lambda: channel.set_capacity_factor(0.0))
+    engine.schedule(0.75, lambda: channel.set_capacity_factor(1.0))
+    # degrading and failing each retract a segment; the restore only resumes
+    return 2 * 2
 
 
 class TestEventQueue:
@@ -197,13 +254,29 @@ class TestCancellation:
         engine.run()
         assert fired == [5]
 
-    def test_disabled_cancellation_is_noop(self):
-        engine = EventQueue(cancellation=False)
-        fired = []
-        handle = engine.schedule(1.0, lambda: fired.append(True))
-        assert handle.cancel() is False
+    @pytest.mark.parametrize(
+        "scenario", [_reweight_storm, _preempt_resume, _capacity_change]
+    )
+    def test_superseded_channel_events_never_fire(self, scenario):
+        """Every batch completes exactly once: each re-armed wire event
+        cancels the one it supersedes, which then never fires."""
+        engine = EventQueue()
+        completed: list[tuple[int, int, int]] = []
+        channel = DimensionChannel(
+            0,
+            dimension("sw", 4, 400.0, latency_ns=100),
+            get_policy("fifo"),
+            FusionConfig(enabled=False),
+            engine,
+            on_batch_done=lambda _, batch: completed.extend(op.key for op in batch),
+        )
+        superseded = scenario(channel, engine)
         engine.run()
-        assert fired == [True]
+        assert completed
+        assert sorted(completed) == sorted(set(completed))
+        assert len(completed) == channel.stats.op_count
+        assert engine.cancelled_events == superseded
+        assert not channel.has_work
 
 
 class TestCompaction:
