@@ -33,6 +33,7 @@ See ``docs/fairness.md`` for definitions, knobs, and a worked example.
 from __future__ import annotations
 
 import abc
+import weakref
 from typing import TYPE_CHECKING
 
 from ..errors import ConfigError
@@ -191,8 +192,9 @@ class FinishTimeFairness(FairnessPolicy):
 
     def prepare(self, cluster: "ClusterSimulator") -> None:
         # Per-run state is reset here so one configured policy instance can
-        # be reused across ClusterSimulator runs.
-        self._cluster = cluster
+        # be reused across ClusterSimulator runs.  The cluster owns this
+        # policy, so the back-reference is weak (no reference cycle).
+        self._cluster = weakref.proxy(cluster)
         self.rho_trace = []
         self.reweight_count = 0
         self._isolated = {
@@ -249,8 +251,8 @@ class FinishTimeFairness(FairnessPolicy):
                 else:
                     share = max((rho / worst) ** self.exponent, self.min_share)
                     weights[spec.name] = spec.weight * share
-            # Re-pushing unchanged weights would churn every in-flight flow
-            # (stale finish events pile up in the heap), so skip no-ops.
+            # Re-pushing unchanged weights would re-tag and re-arm every
+            # channel for nothing, so skip no-ops.
             if weights != self._last_weights:
                 self._last_weights = weights
                 cluster.network.set_tenant_weights(weights)

@@ -20,9 +20,10 @@ same platform with the same per-job configuration.
 
 from __future__ import annotations
 
+import weakref
 from collections import Counter, deque
 from dataclasses import dataclass, replace
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 from ..core.scheduler import SchedulerFactory
 from ..core.splitter import Splitter
@@ -158,28 +159,29 @@ class _JobDriver:
     computes (resume scheduled ``duration`` later) or waits on a collective
     that has not completed (resume from the completion callback).
 
-    ``on_arrival`` is invoked at the job's arrival event.  The cluster
-    decides there whether the job is *admitted* immediately (placement +
-    loop binding + :meth:`begin`, all at the arrival instant — the default,
-    bit-identical to the pre-admission-control flow) or parked in the
-    admission queue until a concurrency slot frees up at some departure.
-    ``on_finish`` fires at the job's last iteration boundary, before any
-    other event at that timestamp runs — the cluster recycles the job's
-    slot there.
+    The cluster's ``_on_arrival`` is invoked at the job's arrival event.
+    The cluster decides there whether the job is *admitted* immediately
+    (placement + loop binding + :meth:`begin`, all at the arrival instant —
+    the default, bit-identical to the pre-admission-control flow) or parked
+    in the admission queue until a concurrency slot frees up at some
+    departure.  Its ``_on_finish`` fires at the job's last iteration
+    boundary, before any other event at that timestamp runs — the cluster
+    recycles the job's slot there.
     """
 
     def __init__(
         self,
         spec: JobSpec,
         engine: EventQueue,
-        on_arrival: "Callable[[_JobDriver], None]",
-        on_finish: "Callable[[_JobDriver], None]",
+        cluster: "ClusterSimulator",
         fault_policy: JobFaultPolicy | None = None,
     ) -> None:
         self.spec = spec
         self.engine = engine
-        self.on_arrival = on_arrival
-        self.on_finish = on_finish
+        #: Weak: the cluster owns its drivers, and a strong back-reference
+        #: would be a cycle keeping a finished run alive until the cyclic
+        #: GC runs instead of freeing it by refcount.
+        self.cluster = weakref.proxy(cluster)
         self.loop: TrainingLoop | None = None
         self.iterations: list[IterationBreakdown] = []
         self.iterations_done = 0
@@ -232,7 +234,7 @@ class _JobDriver:
 
     def _arrive(self) -> None:
         self.arrived = True
-        self.on_arrival(self)
+        self.cluster._on_arrival(self)
 
     def begin(self) -> None:
         """Start iterating (called by the cluster at the admission instant)."""
@@ -285,7 +287,7 @@ class _JobDriver:
         if self.crash_count > policy.max_retries:
             self.failed = True
             self.fail_time = now
-            self.on_finish(self)
+            self.cluster._on_finish(self)
             return
         delay = policy.retry_delay(self.crash_count, self._fault_rng)
         self.engine.schedule_after(delay, self._start_attempt)
@@ -308,7 +310,7 @@ class _JobDriver:
     def _begin_iteration(self) -> None:
         if self.iterations_done == self.spec.iterations:
             self.finish_time = self.engine.now
-            self.on_finish(self)
+            self.cluster._on_finish(self)
             return
         self._breakdown = IterationBreakdown()
         self._steps = self.loop.iteration_steps()
@@ -523,13 +525,7 @@ class ClusterSimulator:
         if self.config.link_faults is not None:
             self.network.apply_fault_schedule(self.config.link_faults)
         self._drivers = [
-            _JobDriver(
-                spec,
-                self.engine,
-                self._on_arrival,
-                self._on_finish,
-                fault_policy=self.config.job_faults,
-            )
+            _JobDriver(spec, self.engine, self, fault_policy=self.config.job_faults)
             for spec in self.jobs
         ]
         self._admission_queue: deque[_JobDriver] = deque()

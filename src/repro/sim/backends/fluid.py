@@ -14,9 +14,9 @@ event* is scheduled — no per-chunk events while rates are stable.
 Concretely, :class:`FluidNetwork` is a :class:`NetworkSimulator` whose
 
 * channels run in weighted GPS sharing mode from construction (the
-  existing ``_FlowState`` closed-form integrator — bank progress at the
-  old rate, re-split capacity, re-arm one finish event per flow — *is*
-  the fluid model; the serial per-chunk wire is simply never used);
+  channel's virtual clock — one finish tag per flow, one armed finish
+  event per channel, see :mod:`repro.sim.executor` — *is* the fluid
+  model; the serial per-chunk wire is simply never used);
 * plans are **fluidized** (:meth:`FluidNetwork._build_chunk_ops`): the
   exact scheduler still plans every collective — plan decisions stay
   exact — but the resulting chunk train collapses into one aggregate flow
@@ -49,9 +49,10 @@ where precision matters (``hybrid=True``, the default):
 * **plan decisions** are always exact — fluidization happens after the
   scheduler has planned, never changes what it sees;
 * **fault transitions** always take the exact path: capacity changes
-  recompute rates immediately (never coalesced) through the same
-  bank-cancel-re-arm path the analytical backend uses, so byte
-  conservation holds across every rate-change point;
+  re-arm the channel immediately (never coalesced) — the virtual clock
+  is advanced at the old slope and continues at the new one, as on the
+  analytical backend's shared wire — so byte conservation holds across
+  every rate-change point;
 * **priority preemption boundaries**: arming preemption switches the
   channels to strict-priority sharing (only the highest-priority in-flight
   flows get rate; lower-priority flows park at rate zero with progress

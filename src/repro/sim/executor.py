@@ -28,8 +28,14 @@ fairness disciplines beyond the default serial (first-come) service
 * **weighted sharing** (:meth:`DimensionChannel.set_share_weights`): each
   tenant may have one batch in flight concurrently and the wire's bandwidth
   is split between the in-flight batches in proportion to per-tenant
-  weights (GPS-style fluid sharing, recomputed whenever the active set or
-  the weights change);
+  weights (GPS-style fluid sharing).  The split runs on a per-channel
+  *virtual clock* (Parekh & Gallager 1993; Demers, Keshav & Shenker 1989):
+  the clock ``V`` advances at ``capacity_factor / sum(w)`` over the
+  draining flows, each flow carries a fixed finish tag
+  ``F = V + remaining / w``, and only the flow with the smallest tag has an
+  armed engine event.  An arrival, departure or capacity change costs one
+  heap push or pop and one re-armed event; a reweight re-tags only the
+  flows whose weight changed;
 * **preemption** (:meth:`DimensionChannel.enable_preemption`): a ready op
   whose priority strictly exceeds the running batch's pauses that batch;
   the remainder of its transfer is re-run later, with statistics adjusted
@@ -38,13 +44,15 @@ fairness disciplines beyond the default serial (first-come) service
 Fault injection reuses the same machinery: the wire carries a live
 ``capacity_factor`` (fraction of nominal bandwidth, see
 :mod:`repro.sim.faults`), :meth:`DimensionChannel.set_capacity_factor`
-re-segments in-flight work at the new rate through the cancel-and-re-arm
-rescheduling path, and a factor of zero parks everything in flight — a
-failed link loses no bytes, it just stops draining until restored.
+re-segments in-flight work at the new rate (the serial wire cancels and
+re-arms its segment; the shared wire changes its virtual clock's slope),
+and a factor of zero parks everything in flight — a failed link loses no
+bytes, it just stops draining until restored.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -213,10 +221,14 @@ class _RunningBatch:
 class _FlowState:
     """One tenant's in-flight batch under weighted bandwidth sharing.
 
-    ``remaining`` is transfer work measured in seconds at *full* wire rate;
-    the flow drains at ``rate`` (its weight share), so its finish event is
-    recomputed — and the old one cancelled — every time the active set or
-    the weights change.
+    A *draining* flow carries a finish ``tag`` on its channel's virtual
+    clock: ``tag = V + remaining / weight``, with ``remaining`` the transfer
+    work in seconds at *full* wire rate.  The tag stays put while other
+    flows arrive and leave (they only change the clock's slope); a reweight
+    re-tags the flow.  A *parked* flow (a lower level under strict-priority
+    sharing) has ``tag`` ``None`` and its progress banked in ``remaining``.
+    ``rate``, and ``remaining`` of a draining flow, are materialized only
+    for the invariant auditor.
     """
 
     __slots__ = (
@@ -224,28 +236,89 @@ class _FlowState:
         "owner",
         "fixed",
         "priority",
+        "seq",
+        "weight",
+        "tag",
         "remaining",
         "rate",
-        "last_update",
-        "finish_handle",
     )
 
     def __init__(
-        self, batch: list[OpState], owner: str, fixed: float, transfer: float
+        self,
+        batch: list[OpState],
+        owner: str,
+        fixed: float,
+        transfer: float,
+        weight: float,
+        seq: int,
     ) -> None:
         self.batch = batch
         self.owner = owner
         self.fixed = fixed
         self.priority = max(op.priority for op in batch)
+        #: Start order: breaks finish-tag ties in the order flows started.
+        self.seq = seq
+        self.weight = weight
+        self.tag: float | None = None
         self.remaining = transfer
         self.rate = 0.0
-        self.last_update = 0.0
-        self.finish_handle: EventHandle | None = None
+
+
+class _VirtualClock:
+    """GPS virtual time of one shared wire (see the module docstring).
+
+    ``vtime`` is the clock at real time ``stamp``; it advances at ``slope``
+    (capacity over the draining flows' weight sum, kept Neumaier-compensated
+    as ``wsum + wsum_err``) until the next re-arm.  ``tags`` is a min-heap
+    of ``(tag, seq, flow)`` over the draining flows; an entry whose flow
+    has since finished, parked or been re-tagged is stale and dropped when
+    it surfaces.
+    """
+
+    __slots__ = ("vtime", "stamp", "slope", "wsum", "wsum_err", "tags")
+
+    def __init__(self) -> None:
+        self.stamp = 0.0
+        self.reset()
+
+    def reset(self) -> None:
+        """Restart at zero with nothing draining (bounds float magnitudes)."""
+        self.vtime = self.slope = self.wsum = self.wsum_err = 0.0
+        self.tags: list[tuple[float, int, _FlowState]] = []
+
+    def advance(self, now: float) -> float:
+        """Bring the clock to ``now`` at the slope of the last re-arm."""
+        if now > self.stamp:
+            self.vtime += self.slope * (now - self.stamp)
+            self.stamp = now
+        return self.vtime
+
+    def add_weight(self, weight: float) -> None:
+        """``wsum += weight``, compensated: a heavy flow leaving beside a
+        near-zero weight must not cancel it away (``1 + 1e-9 - 1``)."""
+        total = self.wsum + weight
+        if abs(self.wsum) >= abs(weight):
+            self.wsum_err += (self.wsum - total) + weight
+        else:
+            self.wsum_err += (weight - total) + self.wsum
+        self.wsum = total
+
+    def head(self) -> tuple[float, int, _FlowState]:
+        """The live heap entry with the smallest tag."""
+        tags = self.tags
+        while tags[0][2].tag != tags[0][0]:
+            heapq.heappop(tags)
+        return tags[0]
 
 
 #: Weights below this are clamped up so a zero-weight tenant still drains
 #: (otherwise its flow would never finish and the simulation would deadlock).
 _MIN_WEIGHT = 1e-9
+
+#: A flow arriving with a virtual span ``remaining / w`` below ``V`` over
+#: this ratio first rebases the clock to zero, so its tag keeps its span to
+#: within ``ratio x eps`` (``V`` races ahead while near-zero weights drain).
+_REBASE_RATIO = 2.0**16
 
 
 class DimensionChannel:
@@ -306,6 +379,12 @@ class DimensionChannel:
         self.flow_coalescer: "FlowCoalescer | None" = None
         self._coalesce_marked = False
         self._flows: dict[str, _FlowState] = {}
+        # One object for the clock's state: at 30 or more instance
+        # attributes CPython 3.11 gives up the compact per-instance dict,
+        # and every attribute load on every channel slows down.
+        self._clock = _VirtualClock()
+        #: The one armed finish event (for the head flow at arming time).
+        self._armed: EventHandle | None = None
         self._running: _RunningBatch | None = None
         self._paused: list[_RunningBatch] = []
         # --- fault machinery (capacity always nominal by default) ---------
@@ -344,6 +423,8 @@ class DimensionChannel:
         self.share_weights = dict(weights)
         self.default_weight = default
         if self._flows:
+            self._clock.advance(self.engine.now)
+            self._rebuild_tags()
             self._reschedule_flows()
         self.try_start()
 
@@ -355,9 +436,10 @@ class DimensionChannel:
         """Strict-priority rates on the shared wire (fluid preemption).
 
         Only in-flight flows at the current maximum priority split the
-        wire; lower-priority flows are parked at rate zero with their
-        progress banked — the fluid-model analogue of serial preemption,
-        with each running→parked transition counted as a preemption.
+        wire (and advance the virtual clock); lower-priority flows are
+        parked at rate zero with their progress banked — the fluid-model
+        analogue of serial preemption, with each running→parked transition
+        counted as a preemption.
         """
         if self.share_weights is None:
             raise ConfigError(
@@ -371,15 +453,17 @@ class DimensionChannel:
         """Change the wire's live capacity mid-run (fault inject/restore).
 
         ``factor`` is the fraction of nominal bandwidth the dimension now
-        carries (``1.0`` = healthy, ``0.0`` = failed).  In-flight work is
-        re-segmented at the new rate through the same cancel-and-re-arm
-        path preemption uses, so byte/seconds accounting is conserved
-        across the change: the done part of the current segment stays
-        credited, the leftover is debited and re-credited when its new
-        segment (or its park/resume cycle) runs.  At ``0.0`` the in-flight
-        batch parks (serial wire) or every flow's rate drops to zero with
-        progress banked (shared wire); nothing is lost and nothing drains
-        until a later call restores capacity.
+        carries (``1.0`` = healthy, ``0.0`` = failed).  On the serial wire
+        in-flight work is re-segmented at the new rate through the same
+        cancel-and-re-arm path preemption uses, so byte/seconds accounting
+        is conserved across the change: the done part of the current
+        segment stays credited, the leftover is debited and re-credited
+        when its new segment (or its park/resume cycle) runs.  On the
+        shared wire the virtual clock is advanced at the old slope and
+        continues at the new one.  At ``0.0`` the in-flight batch parks
+        (serial wire) or the virtual clock freezes with no finish event
+        armed (shared wire); nothing is lost and nothing drains until a
+        later call restores capacity.
         """
         if factor < 0.0:
             raise ConfigError(
@@ -661,7 +745,7 @@ class DimensionChannel:
         # fixed delay is zero (same-instant tie) the finished batch's
         # successor ops are enqueued before the channel picks its next batch.
         running.complete_handle = self.engine.schedule(
-            end, lambda: self._complete(running)
+            end, lambda: self._complete(running.batch)
         )
         running.release_handle = self.engine.schedule(
             now + wall, lambda: self._release_wire(running)
@@ -722,11 +806,11 @@ class DimensionChannel:
         self._update_activity()
         self.try_start()
 
-    def _complete(self, running: _RunningBatch) -> None:
-        self._track_completed(running.batch)
+    def _complete(self, batch: list[OpState]) -> None:
+        self._track_completed(batch)
         if self.auditor is not None:
-            self.auditor.on_batch_complete(self, running.batch)
-        self.on_batch_done(self, running.batch)
+            self.auditor.on_batch_complete(self, batch)
+        self.on_batch_done(self, batch)
         self._update_activity()
         self.try_start()
 
@@ -754,27 +838,81 @@ class DimensionChannel:
         self.stats.batch_count += 1
         if self.auditor is not None:
             self.auditor.on_batch_start(self, batch)
-        flow = _FlowState(batch, batch[0].owner, fixed, transfer)
-        flow.last_update = now
-        self._flows[flow.owner] = flow
-        self.queue.set_owner_active(flow.owner, True)
+        owner = batch[0].owner
+        flow = _FlowState(
+            batch, owner, fixed, transfer, self._weight(owner), self.stats.batch_count
+        )
+        self._flows[owner] = flow
+        if not self.priority_sharing:
+            # (Under strict priority the re-arm decides whether it drains.)
+            clock = self._clock
+            span = transfer / flow.weight
+            vtime = clock.advance(now)
+            if 0.0 < span * _REBASE_RATIO < vtime:
+                self._rebuild_tags()  # tags the new flow at zero, precisely
+            else:
+                flow.tag = vtime + span
+                clock.add_weight(flow.weight)
+                heapq.heappush(clock.tags, (flow.tag, flow.seq, flow))
+        self.queue.set_owner_active(owner, True)
         self._update_activity()
         self._reschedule_flows()
 
-    def _reschedule_flows(self, immediate: bool = False) -> None:
-        """Re-split the wire among active flows and re-arm their finishes.
+    def _rebuild_tags(self) -> None:
+        """Rebase the clock to zero and re-tag every flow, in one O(T) pass.
 
-        Called whenever the active set or the weights change.  Each flow's
-        progress since its last update is banked at its old rate, then every
-        flow gets rate ``w_i / sum(active w)`` and a fresh finish event; the
-        superseded finish event is cancelled so reweight storms cannot grow
-        the heap.
+        Callers advance the clock first.  A draining flow keeps its
+        remaining work across a weight change: ``F' = (F - V) * w_old /
+        w_new``.  Under strict-priority sharing only the top level drains:
+        a draining flow below it parks with its progress banked (one
+        preemption unless the link is down).  A flow not yet draining that
+        may drain is tagged at zero.  Rebasing keeps tags small next to
+        the spans they encode.
+        """
+        top: int | None = None
+        if self.priority_sharing:
+            top = max(flow.priority for flow in self._flows.values())
+        clock = self._clock
+        vtime = clock.vtime
+        clock.vtime = clock.wsum = clock.wsum_err = 0.0
+        clock.tags = []
+        for flow in self._flows.values():
+            weight = self._weight(flow.owner)
+            if top is not None and flow.priority < top:
+                if flow.tag is not None:
+                    if self.capacity_factor > 0.0:
+                        self.preemption_count += 1
+                    flow.remaining = max(0.0, (flow.tag - vtime) * flow.weight)
+                    flow.tag = None
+            elif flow.tag is None:
+                flow.tag = flow.remaining / weight
+            else:
+                flow.tag -= vtime
+                if weight != flow.weight:
+                    flow.tag = flow.tag * flow.weight / weight
+            flow.weight = weight
+            if flow.tag is not None:
+                clock.tags.append((flow.tag, flow.seq, flow))
+                clock.add_weight(weight)
+        heapq.heapify(clock.tags)
+
+    def _reschedule_flows(self, immediate: bool = False) -> None:
+        """Re-arm the channel's one finish event after its flows changed.
+
+        Called whenever the active set, the weights or the capacity change;
+        the caller has already advanced the virtual clock and pushed, popped
+        or re-tagged the flows concerned (under strict priority the re-arm
+        re-levels them itself).  The clock takes its new slope
+        ``capacity_factor / sum(w)``, the superseded finish event is
+        cancelled, and one event is armed for the head tag at
+        ``now + (F - V) / slope``.  At capacity zero the clock is frozen and
+        nothing is armed.
 
         With a :class:`FlowCoalescer` attached, non-``immediate`` calls are
         deferred to one same-instant flush per channel: no simulated time
-        passes between the request and the flush, so banking is unaffected
-        and a burst of arrivals/finishes at one instant costs one
-        recomputation instead of one per trigger.
+        passes between the request and the flush, so the clock is
+        unaffected and a burst of arrivals/finishes at one instant costs one
+        re-arm instead of one per trigger.
         """
         if not self._flows:
             return
@@ -784,74 +922,45 @@ class DimensionChannel:
             and self.flow_coalescer.defer(self)
         ):
             return
-        now = self.engine.now
-        active = self._flows
-        parked_priority: int | None = None
+        clock = self._clock
+        clock.advance(self.engine.now)
         if self.priority_sharing:
-            top = max(flow.priority for flow in self._flows.values())
-            active = {
-                owner: flow
-                for owner, flow in self._flows.items()
-                if flow.priority == top
-            }
-            if len(active) < len(self._flows):
-                parked_priority = top
-        total = sum(self._weight(owner) for owner in active)
-        for flow in self._flows.values():
-            if now > flow.last_update and flow.rate > 0:
-                flow.remaining = max(
-                    0.0, flow.remaining - flow.rate * (now - flow.last_update)
-                )
-            flow.last_update = now
-            if parked_priority is not None and flow.priority < parked_priority:
-                # Strict-priority sharing: a lower-priority flow parks at
-                # rate zero with its progress banked; every running→parked
-                # transition is one preemption.
-                if flow.rate > 0.0 and self.capacity_factor > 0.0:
-                    self.preemption_count += 1
-                flow.rate = 0.0
-            else:
-                # A degraded wire splits its *live* capacity by weight; at
-                # nominal capacity the multiplication by 1.0 is lossless, so
-                # fault-free timelines are bit-identical to the pre-fault
-                # code.
-                flow.rate = (
-                    self.capacity_factor * self._weight(flow.owner) / total
-                )
-            self.engine.cancel(flow.finish_handle)
-            if flow.rate <= 0.0:
-                # Failed link (or priority-parked flow): parks with its
-                # progress banked.  No finish event is armed (there is no
-                # finite finish time); a capacity restore or a priority
-                # departure reschedules every parked flow here.
-                flow.finish_handle = None
-                continue
-            finish = now + flow.remaining / flow.rate
-            flow.finish_handle = self.engine.schedule(
-                finish, lambda flow=flow: self._finish_flow(flow)
-            )
+            self._rebuild_tags()
+        vtime = clock.vtime
+        self.engine.cancel(self._armed)
+        self._armed = None
+        tag, _, head = clock.head()
+        wsum = clock.wsum + clock.wsum_err
+        clock.slope = self.capacity_factor / wsum
+        if clock.slope > 0.0:
+            finish = self.engine.now + max(0.0, tag - vtime) / clock.slope
+            self._armed = self.engine.schedule(finish, lambda: self._finish_flow(head))
         if self.auditor is not None:
+            for flow in self._flows.values():
+                if flow.tag is None:
+                    flow.rate = 0.0
+                else:
+                    flow.rate = self.capacity_factor * flow.weight / wsum
+                    flow.remaining = max(0.0, (flow.tag - vtime) * flow.weight)
             self.auditor.on_flows_rescheduled(self, self._flows)
 
     def _finish_flow(self, flow: _FlowState) -> None:
+        self._armed = None
+        self._clock.advance(self.engine.now)
         flow.remaining = 0.0
+        flow.tag = None
+        self._clock.add_weight(-flow.weight)
         del self._flows[flow.owner]
+        if not self._flows:
+            self._clock.reset()
         self.queue.set_owner_active(flow.owner, False)
         now = self.engine.now
         end = now + flow.fixed
         for op in flow.batch:
             op.end_time = end
-        self.engine.schedule(end, lambda: self._complete_flow(flow))
+        self.engine.schedule(end, lambda: self._complete(flow.batch))
         self._update_activity()
         self._reschedule_flows()
-        self.try_start()
-
-    def _complete_flow(self, flow: _FlowState) -> None:
-        self._track_completed(flow.batch)
-        if self.auditor is not None:
-            self.auditor.on_batch_complete(self, flow.batch)
-        self.on_batch_done(self, flow.batch)
-        self._update_activity()
         self.try_start()
 
 
@@ -861,15 +970,15 @@ class FlowCoalescer:
     A burst of flow arrivals/finishes at one simulated instant — a
     collective fanning out over every dimension, a weight retune touching
     all channels, a finish cascading into the next stage — triggers one
-    ``_reschedule_flows`` per cause per channel, and each recomputation
-    cancels and re-arms every in-flight finish event.  The coalescer defers
-    those recomputations to a single *flush* event scheduled at the same
-    instant: the event engine fires same-time events in scheduling order,
-    so the flush runs after every same-instant cause, recomputing each
-    dirty channel exactly once.
+    ``_reschedule_flows`` per cause per channel, and each one cancels and
+    re-arms the channel's finish event.  The coalescer defers those re-arms
+    to a single *flush* event scheduled at the same instant: the event
+    engine fires same-time events in scheduling order, so the flush runs
+    after every same-instant cause, re-arming each dirty channel exactly
+    once.
 
     Zero simulated time passes between a deferred request and its flush, so
-    progress banking (which integrates over elapsed time) is unaffected —
+    the virtual clock (which integrates over elapsed time) is unaffected —
     timelines are identical, only the event count drops.  Channels are
     flushed in the order they were first marked (deterministic; no set
     iteration).  Precision points (fault transitions) bypass the coalescer

@@ -17,6 +17,7 @@ full aggregate bandwidth of the dimensions it spans.
 from __future__ import annotations
 
 import math
+import weakref
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
@@ -367,6 +368,10 @@ class NetworkSimulator:
             # checks stay consistent across co-tenants.
             self.auditor = self.engine.auditor or InvariantAuditor()
             self.engine.auditor = self.auditor
+        # The channels call back through a weak proxy: a bound method would
+        # make network and channels a reference cycle, so a finished run
+        # would wait for the cyclic GC instead of being freed by refcount.
+        network = weakref.proxy(self)
         self.channels = [
             DimensionChannel(
                 i,
@@ -374,7 +379,7 @@ class NetworkSimulator:
                 self.policy,
                 self.fusion,
                 self.engine,
-                self._on_batch_done,
+                lambda channel, batch: network._on_batch_done(channel, batch),
             )
             for i, dim in enumerate(topology.dims)
         ]

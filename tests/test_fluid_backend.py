@@ -28,9 +28,13 @@ Covered:
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro import api
+from repro.cluster import ClusterConfig, ClusterSimulator, JobSpec
 from repro.collectives import CollectiveRequest, CollectiveType
 from repro.collectives.types import PhaseOp
 from repro.collectives.phases import Stage
@@ -597,3 +601,37 @@ class TestFluidScaleExperiment:
             run_fluid_scale(job_counts=())
         with pytest.raises(ConfigError):
             fluid_scale_spec(0, "fluid")
+
+
+class TestRunLifetime:
+    """A finished run is freed by refcount: no reference cycle runs through
+    the cluster simulator or between a network and its channels."""
+
+    @pytest.mark.parametrize("fairness", [None, "ftf"])
+    def test_cluster_simulator_freed_without_cyclic_gc(self, fairness):
+        jobs = [
+            JobSpec(name=f"j{i}", workload="dlrm", arrival_time=i * 1e-4)
+            for i in range(3)
+        ]
+        config = ClusterConfig(backend="fluid", fairness=fairness)
+        gc.disable()
+        try:
+            sim = ClusterSimulator(_2d(), jobs, config)
+            sim.run()
+            alive = weakref.ref(sim)
+            del sim
+            assert alive() is None
+        finally:
+            gc.enable()
+
+    def test_network_freed_without_cyclic_gc(self):
+        gc.disable()
+        try:
+            net = get_backend("fluid").build(_2d())
+            net.submit(CollectiveRequest(CollectiveType.ALL_REDUCE, 64 * MB))
+            net.run()
+            alive = weakref.ref(net)
+            del net
+            assert alive() is None
+        finally:
+            gc.enable()

@@ -43,8 +43,8 @@ def _reweight_storm(channel: DimensionChannel, engine: EventQueue) -> int:
     for step in range(1, 6):
         weights = {"a": float(step + 1), "b": 1.0}
         engine.schedule(0.1 * step, lambda w=weights: channel.set_share_weights(w))
-    # b's arrival re-arms a; each reweight re-arms both; a's finish re-arms b
-    return 1 + 5 * 2 + 1
+    # only the head flow is armed: b's arrival and each reweight re-arm it
+    return 1 + 5
 
 
 def _preempt_resume(channel: DimensionChannel, engine: EventQueue) -> int:
