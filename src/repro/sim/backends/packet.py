@@ -53,34 +53,19 @@ from __future__ import annotations
 
 import hashlib
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, ClassVar
 
-from ...collectives.types import CollectiveRequest
 from ...core.latency_model import LatencyModel
 from ...core.scheduler import SchedulerFactory
-from ...errors import ConfigError, SimulationError
+from ...errors import ConfigError
 from ...topology import Topology
 from ...topology.dimension import DimensionKind, DimensionSpec
-from ..audit import InvariantAuditor, resolve_audit
 from ..engine import EventQueue
-from ..executor import OpState
-from ..faults import (
-    FaultSchedule,
-    LinkFault,
-    compose_factors,
-)
-from ..network import (
-    CollectivePlanner,
-    CollectiveResult,
-    ExecutionResult,
-    _check_not_past,
-    _CollectiveState,
-    exact_chunk_ops,
-)
-from ..timeline import Interval, OpRecord, merge_intervals
+from ..executor import ChannelStats, OpState
+from ..network import NetworkSimulator, _CollectiveState
+from ..timeline import Interval
 from .base import NetworkBackend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -262,6 +247,10 @@ class _PortGroup:
     NPUs of a dimension are symmetric, so one representative port models
     the per-NPU egress; concurrent flows share its lanes in booking
     (arrival) order.
+
+    It carries the surface :class:`~repro.sim.network.NetworkSimulator`
+    reads on a :class:`~repro.sim.executor.DimensionChannel`: ``stats``,
+    :meth:`snapshot_activity` and :meth:`set_capacity_factor`.
     """
 
     __slots__ = (
@@ -273,10 +262,11 @@ class _PortGroup:
         "capacity_factor",
         "free_at",
         "outstanding_bytes",
-        "busy_seconds",
-        "bytes_sent",
-        "activity",
+        "stats",
     )
+
+    #: FIFO egress ports never preempt.
+    preemption_count: ClassVar[int] = 0
 
     def __init__(self, dim_index: int, dim: DimensionSpec) -> None:
         self.dim_index = dim_index
@@ -294,9 +284,20 @@ class _PortGroup:
         #: Bytes submitted to this dimension and not yet delivered — the
         #: live-load signal automatic placement policies read.
         self.outstanding_bytes = 0.0
-        self.busy_seconds = 0.0
-        self.bytes_sent = 0.0
-        self.activity: list[Interval] = []
+        self.stats = ChannelStats()
+
+    def set_capacity_factor(self, factor: float) -> None:
+        """Rescale the port rate for ops booked from now on.
+
+        Ops already on the wire complete at their booked time (op
+        granularity: chunk ops are short relative to fault durations).  At
+        ``0.0`` arriving ops park until a restore (see ``PacketNetwork``).
+        """
+        self.capacity_factor = factor
+
+    def snapshot_activity(self) -> list[Interval]:
+        """The booked wire-busy intervals (none is ever left open)."""
+        return list(self.stats.activity_intervals)
 
     def service_op(
         self,
@@ -329,11 +330,11 @@ class _PortGroup:
             (payload + header_bytes) / rate for payload in payloads
         )
         lanes = len(self.free_at[0])
-        self.busy_seconds += wire_seconds / lanes
+        self.stats.busy_seconds += wire_seconds / lanes
         if finish > start:
             # The delivery instant includes the trailing propagation; the
             # wire itself is busy until the last hop finished serializing.
-            self.activity.append(
+            self.stats.activity_intervals.append(
                 Interval(start, finish - self.prop_per_hop * self.hops)
             )
         return finish
@@ -350,22 +351,21 @@ class _FlowState:
         self.mtu_bytes = mtu_bytes
 
 
-class PacketNetwork:
+class PacketNetwork(NetworkSimulator):
     """Event-driven packet-level network (the ``"packet"`` backend).
 
-    Planning is shared with the analytical backend through one
-    :class:`~repro.sim.network.CollectivePlanner` — the same scheduler
-    factories produce the same plan (including the degraded-planning
-    behavior under live faults) — only the *execution*
-    of each chunk op differs: packetized rounds through FIFO ports
-    instead of closed-form batches through fluid channels.  See the
-    module docstring for the model.
+    A :class:`~repro.sim.network.NetworkSimulator` whose channels are
+    :class:`_PortGroup` egress ports: submission, planning (one
+    :class:`~repro.sim.network.CollectivePlanner`, so the same scheduler
+    factories produce the same plan, including the degraded-planning
+    behavior under live faults), fault scheduling, comm-active accounting
+    and ``result()`` are inherited.  Only the *execution* of each chunk op
+    differs: packetized rounds through FIFO ports instead of closed-form
+    batches through fluid channels.  See the module docstring for the
+    model.
     """
 
-    #: ``submit`` accepts a per-request ``scheduler=`` factory.
-    accepts_scheduler: ClassVar[bool] = True
-    #: ``result()`` returns an :class:`ExecutionResult`.
-    provides_result: ClassVar[bool] = True
+    channels: list[_PortGroup]  # type: ignore[assignment]
 
     def __init__(
         self,
@@ -377,47 +377,29 @@ class PacketNetwork:
         options: PacketOptions | None = None,
         algorithm_overrides: dict[int, str] | None = None,
     ) -> None:
-        self.topology = topology
-        self.scheduler_factory = scheduler or SchedulerFactory("themis")
-        self.engine = engine or EventQueue()
+        super().__init__(
+            topology,
+            scheduler=scheduler,
+            engine=engine,
+            algorithm_overrides=algorithm_overrides,
+            record_ops=record_ops,
+            audit=audit,
+        )
         self.options = options or PacketOptions()
-        self.record_ops = record_ops
-        self.planner = CollectivePlanner(topology, algorithm_overrides)
-        self.auditor: InvariantAuditor | None = None
-        if resolve_audit(audit):
-            self.auditor = self.engine.auditor or InvariantAuditor()
-            self.engine.auditor = self.auditor
-        #: Per-dimension port groups; placement policies read
-        #: ``channels[d].outstanding_bytes`` exactly as on the analytical
-        #: backend, so the live-load signal survives the fidelity switch.
-        self.channels = [
-            _PortGroup(i, dim) for i, dim in enumerate(topology.dims)
-        ]
-        self._states: dict[int, _CollectiveState] = {}
         #: Per-network dense collective index used in routing flow keys.
         #: ``request_id`` comes from a process-global counter, so hashing
         #: it would make ECMP lane picks depend on process history; this
         #: map keeps identical networks bit-identical.
         self._flow_seq: dict[int, int] = {}
-        self._results: list[CollectiveResult] = []
-        self._records: list[OpRecord] = []
-        self._records_sorted = True
-        self._dim_transfer = [0.0] * len(self.channels)
         #: Flows parked on a zero-capacity dimension, resumed (in parking
         #: order) when a restore event lifts the factor above zero.
         self._parked: list[list[_FlowState]] = [[] for _ in self.channels]
-        self._inflight = 0
-        self._comm_active_since: float | None = None
-        self._comm_active: list[Interval] = []
-        self._owner_inflight: dict[str, int] = {}
-        self._owner_active_since: dict[str, float] = {}
-        self._owner_active: dict[str, list[Interval]] = {}
-        # --- fault injection (same discipline as NetworkSimulator) ----------
-        self.fault_timeline: list[tuple[float, int, float]] = []
-        self._active_faults: list[dict[int, float]] = [
-            {} for _ in self.channels
-        ]
-        self._fault_seq = 0
+
+    def _build_channels(self) -> list[_PortGroup]:  # type: ignore[override]
+        # Placement policies read ``channels[d].outstanding_bytes`` exactly
+        # as on the analytical backend, so the live-load signal survives
+        # the fidelity switch.
+        return [_PortGroup(i, dim) for i, dim in enumerate(self.topology.dims)]
 
     # --- fairness: not available at this fidelity ---------------------------
     def set_tenant_weights(
@@ -437,109 +419,22 @@ class PacketNetwork:
             "use backend='analytical' for the preempt fairness policy"
         )
 
-    @property
-    def preemption_count(self) -> int:
-        """Preemption does not exist at packet fidelity."""
-        return 0
-
-    # --- fault injection ----------------------------------------------------
-    def apply_fault(self, fault: LinkFault) -> None:
-        """Schedule one capacity fault (and its restoration) on the engine.
-
-        Rate changes apply to ops booked *after* the event fires; ops
-        already on the wire complete at their booked time (op granularity
-        — chunk ops are short relative to fault durations).  A factor of
-        zero parks arriving ops until a restore.
-        """
-        if not 0 <= fault.dim_index < len(self.channels):
-            raise ConfigError(
-                f"fault targets dimension {fault.dim_index} but the "
-                f"topology has {len(self.channels)} dimension(s)"
-            )
-        if fault.start < self.engine.now:
-            raise ConfigError(
-                f"fault starts at {fault.start} but the simulation is "
-                f"already at {self.engine.now}"
-            )
-        fault_id = self._fault_seq
-        self._fault_seq += 1
-        self.engine.schedule(
-            fault.start, lambda: self._fault_begin(fault_id, fault)
-        )
-        end = fault.end
-        if end is not None:
-            self.engine.schedule(end, lambda: self._fault_end(fault_id, fault))
-
-    def apply_fault_schedule(self, schedule: FaultSchedule) -> None:
-        """Apply every event of a :class:`FaultSchedule` (validated against
-        this topology's dimension count)."""
-        for fault in schedule.restricted_to(len(self.channels)).events:
-            self.apply_fault(fault)
-
-    def _fault_begin(self, fault_id: int, fault: LinkFault) -> None:
-        self._active_faults[fault.dim_index][fault_id] = fault.factor
-        self._apply_capacity(fault.dim_index)
-
-    def _fault_end(self, fault_id: int, fault: LinkFault) -> None:
-        self._active_faults[fault.dim_index].pop(fault_id, None)
-        self._apply_capacity(fault.dim_index)
-
     def _apply_capacity(self, dim_index: int) -> None:
-        factor = compose_factors(self._active_faults[dim_index])
-        self.fault_timeline.append((self.engine.now, dim_index, factor))
-        group = self.channels[dim_index]
-        group.capacity_factor = factor
-        if factor > 0.0 and self._parked[dim_index]:
-            resumed = self._parked[dim_index]
+        super()._apply_capacity(dim_index)
+        parked = self._parked[dim_index]
+        if parked and self.channels[dim_index].capacity_factor > 0.0:
             self._parked[dim_index] = []
-            for flow in resumed:
+            for flow in parked:
                 self._book_flow(flow)
 
-    # --- submission ---------------------------------------------------------
-    def submit(
-        self,
-        request: CollectiveRequest,
-        at_time: float | None = None,
-        on_complete: Callable[[CollectiveResult], None] | None = None,
-        scheduler: SchedulerFactory | None = None,
-    ) -> CollectiveResult:
-        """Issue a collective at ``at_time`` (default: current sim time)."""
-        issue_time = self.engine.now if at_time is None else at_time
-        _check_not_past(self.engine, request, issue_time)
-        result = CollectiveResult(request=request, plan=None, issue_time=issue_time)
-        self._results.append(result)
-        self.engine.schedule(
-            issue_time,
-            lambda: self._start_collective(result, on_complete, scheduler),
-        )
-        return result
-
-    def _start_collective(
-        self,
-        result: CollectiveResult,
-        on_complete: Callable[[CollectiveResult], None] | None,
-        scheduler_factory: SchedulerFactory | None = None,
-    ) -> None:
-        request = result.request
-        subtopo, model = self.planner.resolve(request)
-        plan, _ = self.planner.plan(
-            request,
-            scheduler_factory or self.scheduler_factory,
-            tuple(group.capacity_factor for group in self.channels),
-            self.engine.now,
-        )
-        result.plan = plan
-        chunk_ops = exact_chunk_ops(request, plan, subtopo, model)
-        flows = [self._flow_for(ops[0], subtopo, model) for ops in chunk_ops]
-
-        state = _CollectiveState(result, chunk_ops, on_complete)
-        self._states[request.request_id] = state
-        self._flow_seq[request.request_id] = len(self._flow_seq)
-        self._mark_comm_active(request.owner)
-        for flow in flows:
-            self._start_flow(flow)
-
     # --- flow execution -----------------------------------------------------
+    def _launch(self, state: _CollectiveState, plan_key: tuple | None) -> None:
+        request = state.result.request
+        self._flow_seq[request.request_id] = len(self._flow_seq)
+        subtopo, model = self.planner.resolve(request)
+        for ops in state.chunk_ops:
+            self._start_flow(self._flow_for(ops[0], subtopo, model))
+
     def _flow_for(
         self, op: OpState, subtopo: Topology, model: LatencyModel
     ) -> _FlowState:
@@ -616,8 +511,8 @@ class PacketNetwork:
         op.end_time = self.engine.now
         group = self.channels[op.parent_dim]
         group.outstanding_bytes -= op.bytes_sent
-        group.bytes_sent += op.bytes_sent
-        self._dim_transfer[op.parent_dim] += op.transfer_time
+        group.stats.bytes_sent += op.bytes_sent
+        group.stats.transfer_seconds += op.transfer_time
         if self.record_ops:
             self._records.append(op.to_record())
             self._records_sorted = False
@@ -630,92 +525,6 @@ class PacketNetwork:
         state.remaining_ops -= 1
         if state.remaining_ops == 0:
             self._finish_collective(state)
-
-    def _finish_collective(self, state: _CollectiveState) -> None:
-        state.result.completion_time = self.engine.now
-        del self._states[state.result.request.request_id]
-        self._mark_comm_idle_if_done(state.result.request.owner)
-        if state.on_complete is not None:
-            state.on_complete(state.result)
-
-    # --- comm-active accounting (same discipline as NetworkSimulator) -------
-    def _mark_comm_active(self, owner: str) -> None:
-        self._inflight += 1
-        if self._comm_active_since is None:
-            self._comm_active_since = self.engine.now
-        self._owner_inflight[owner] = self._owner_inflight.get(owner, 0) + 1
-        if owner not in self._owner_active_since:
-            self._owner_active_since[owner] = self.engine.now
-
-    def _mark_comm_idle_if_done(self, owner: str) -> None:
-        now = self.engine.now
-        self._inflight -= 1
-        if self._inflight == 0 and self._comm_active_since is not None:
-            if now > self._comm_active_since:
-                self._comm_active.append(Interval(self._comm_active_since, now))
-            self._comm_active_since = None
-        self._owner_inflight[owner] -= 1
-        if self._owner_inflight[owner] == 0:
-            since = self._owner_active_since.pop(owner)
-            if now > since:
-                self._owner_active.setdefault(owner, []).append(
-                    Interval(since, now)
-                )
-
-    # --- running ------------------------------------------------------------
-    def run(self, max_events: int | None = None) -> ExecutionResult:
-        """Run the engine to quiescence and package the results."""
-        self.engine.run(max_events=max_events)
-        if self._states:
-            dead = [
-                group.dim_index
-                for group in self.channels
-                if group.capacity_factor <= 0.0
-            ]
-            hint = (
-                f"; dimension(s) {dead} have zero capacity (failed links "
-                "with no restore event) — in-flight work is parked forever"
-                if dead
-                else ""
-            )
-            raise SimulationError(
-                f"{len(self._states)} collectives never completed "
-                f"(deadlock or missing events){hint}"
-            )
-        return self.result()
-
-    def result(self) -> ExecutionResult:
-        """Snapshot results at the current simulation time (mid-run safe)."""
-        if not self._results:
-            raise SimulationError("no collectives were submitted")
-        now = self.engine.now
-        comm_active = list(self._comm_active)
-        if self._comm_active_since is not None and now > self._comm_active_since:
-            comm_active.append(Interval(self._comm_active_since, now))
-        by_owner = {
-            owner: list(intervals)
-            for owner, intervals in self._owner_active.items()
-        }
-        for owner, since in self._owner_active_since.items():
-            if now > since:
-                by_owner.setdefault(owner, []).append(Interval(since, now))
-        if not self._records_sorted:
-            self._records.sort(key=lambda r: (r.start_time, r.dim_index))
-            self._records_sorted = True
-        return ExecutionResult(
-            topology=self.topology,
-            records=list(self._records),
-            collectives=list(self._results),
-            dim_transfer_seconds=list(self._dim_transfer),
-            dim_busy_seconds=[g.busy_seconds for g in self.channels],
-            dim_bytes=[g.bytes_sent for g in self.channels],
-            dim_activity=[merge_intervals(g.activity) for g in self.channels],
-            comm_active_intervals=merge_intervals(comm_active),
-            comm_active_by_owner={
-                owner: merge_intervals(intervals)
-                for owner, intervals in sorted(by_owner.items())
-            },
-        )
 
 
 class PacketBackend(NetworkBackend):

@@ -485,40 +485,18 @@ class DimensionChannel:
             # Fault transitions are precision points (the fluid backend's
             # hybrid contract): recompute immediately, never coalesced.
             self._reschedule_flows(immediate=True)
-            if self.auditor is not None:
-                self.auditor.on_capacity_change(self, old, factor)
-            self.try_start()
-            return
-        # Serial wire: close the running segment at the old rate, then
-        # either restart the leftover at the new rate or park it.
-        running = self._running
-        if running is not None and self.busy:
-            now = self.engine.now
-            done = (now - running.segment_start) * old
-            remaining = running.remaining - done
-            if remaining > 1e-18:
-                self.engine.cancel(running.complete_handle)
-                self.engine.cancel(running.release_handle)
-                frac = remaining / running.transfer_total
-                self.stats.busy_seconds -= remaining
-                self.stats.transfer_seconds -= remaining
-                self.stats.fixed_seconds -= running.fixed
-                self.stats.bytes_sent -= running.bytes_total * frac
-                running.remaining = remaining
-                self.busy = False
-                self._running = None
-                self.capacity_factor = factor
+        else:
+            # Serial wire: close the running segment at the old rate, then
+            # either restart the leftover at the new rate or park it.  A
+            # segment that is effectively done keeps its pending events.
+            running = self._close_segment() if self.busy else None
+            self.capacity_factor = factor
+            if running is not None:
                 if factor > 0.0:
                     self._start_segment(running)
                 else:
                     self._paused.append(running)
                     self._update_activity()
-                if self.auditor is not None:
-                    self.auditor.on_capacity_change(self, old, factor)
-                self.try_start()
-                return
-            # else: segment effectively done — let its pending events fire.
-        self.capacity_factor = factor
         if self.auditor is not None:
             self.auditor.on_capacity_change(self, old, factor)
         self.try_start()
@@ -751,21 +729,22 @@ class DimensionChannel:
             now + wall, lambda: self._release_wire(running)
         )
 
-    def _preempt_running(self) -> None:
-        """Pause the running batch; its leftover transfer re-runs later.
+    def _close_segment(self) -> _RunningBatch | None:
+        """Take the running batch off the wire, its leftover work banked.
 
-        The segment's pending release/completion events are cancelled
-        outright, and the statistics credited at segment
-        start are debited by exactly the un-done part, so preemption never
-        loses or double-counts work.
+        The segment drained at the current ``capacity_factor`` since it
+        started.  Its pending release/completion events are cancelled
+        outright, and the statistics credited at segment start are debited
+        by exactly the un-done part, so no work is lost or double-counted.
+        Returns ``None`` (and changes nothing) when the segment is
+        effectively done: the wire then releases at this instant.
         """
         running = self._running
         assert running is not None
-        now = self.engine.now
-        done = (now - running.segment_start) * self.capacity_factor
+        done = (self.engine.now - running.segment_start) * self.capacity_factor
         remaining = running.remaining - done
         if remaining <= 1e-18:
-            return  # the segment is done; the wire releases this instant
+            return None
         self.engine.cancel(running.complete_handle)
         self.engine.cancel(running.release_handle)
         frac = remaining / running.transfer_total
@@ -776,6 +755,13 @@ class DimensionChannel:
         running.remaining = remaining
         self.busy = False
         self._running = None
+        return running
+
+    def _preempt_running(self) -> None:
+        """Pause the running batch; its leftover transfer re-runs later."""
+        running = self._close_segment()
+        if running is None:
+            return
         self._paused.append(running)
         self.preemption_count += 1
         if self.auditor is not None:

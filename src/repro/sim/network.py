@@ -9,6 +9,9 @@ the per-dimension channels, and the event engine.  It supports:
 * optional enforcement of pre-simulated intra-dimension orders (Sec. 4.6.2),
 * completion callbacks, used by the training-loop simulator.
 
+The fluid and packet backends subclass it and override only how chunk ops
+execute (see :class:`NetworkSimulator`).
+
 The *Ideal* network model of Table 3 is :class:`IdealNetwork`: a fluid
 server that moves each collective's schedule-invariant byte volume at the
 full aggregate bandwidth of the dimensions it spans.
@@ -330,6 +333,16 @@ class NetworkSimulator:
     request signature.  Enforced intra-dimension orders are cached under
     the same key, which also skips the per-iteration consistency
     pre-simulation.
+
+    This class is also the execution-agnostic core of every exact backend
+    (analytical, fluid, packet): submission, planning, fault scheduling,
+    comm-active accounting, ``run()`` and ``result()`` are written here
+    only.  A backend changes how chunk ops execute by overriding
+    ``_build_channels`` (one wire object per dimension; ``result()`` reads
+    its ``stats`` and ``snapshot_activity()``, faults call its
+    ``set_capacity_factor``), ``_build_chunk_ops`` (execution
+    granularity), ``_launch`` (starting a planned collective) and
+    ``_apply_capacity`` (follow-up work on a capacity change).
     """
 
     #: Capability flags read by backend-agnostic callers (the training
@@ -368,25 +381,7 @@ class NetworkSimulator:
             # checks stay consistent across co-tenants.
             self.auditor = self.engine.auditor or InvariantAuditor()
             self.engine.auditor = self.auditor
-        # The channels call back through a weak proxy: a bound method would
-        # make network and channels a reference cycle, so a finished run
-        # would wait for the cyclic GC instead of being freed by refcount.
-        network = weakref.proxy(self)
-        self.channels = [
-            DimensionChannel(
-                i,
-                dim,
-                self.policy,
-                self.fusion,
-                self.engine,
-                lambda channel, batch: network._on_batch_done(channel, batch),
-            )
-            for i, dim in enumerate(topology.dims)
-        ]
-        if self.auditor is not None:
-            for channel in self.channels:
-                channel.auditor = self.auditor
-                self.auditor.register_channel(channel)
+        self.channels = self._build_channels()
         self._states: dict[int, _CollectiveState] = {}
         self._results: list[CollectiveResult] = []
         self._records: list[OpRecord] = []
@@ -411,6 +406,29 @@ class NetworkSimulator:
             {} for _ in self.channels
         ]
         self._fault_seq = 0
+
+    def _build_channels(self) -> list[DimensionChannel]:
+        """One executor per parent dimension (the backend's wire model)."""
+        # The channels call back through a weak proxy: a bound method would
+        # make network and channels a reference cycle, so a finished run
+        # would wait for the cyclic GC instead of being freed by refcount.
+        network = weakref.proxy(self)
+        channels = [
+            DimensionChannel(
+                i,
+                dim,
+                self.policy,
+                self.fusion,
+                self.engine,
+                lambda channel, batch: network._on_batch_done(channel, batch),
+            )
+            for i, dim in enumerate(self.topology.dims)
+        ]
+        if self.auditor is not None:
+            for channel in channels:
+                channel.auditor = self.auditor
+                self.auditor.register_channel(channel)
+        return channels
 
     # --- fairness (multi-tenant wire disciplines) ---------------------------
     def set_tenant_weights(
@@ -564,11 +582,18 @@ class NetworkSimulator:
         state = _CollectiveState(result, chunk_ops, on_complete)
         self._states[request.request_id] = state
         self._mark_comm_active(request.owner)
+        self._launch(state, plan_key)
 
+    def _launch(self, state: _CollectiveState, plan_key: tuple | None) -> None:
+        """Put each chunk's first op on the wire (the execution hook).
+
+        Called once per collective, after it is planned, registered, and
+        marked comm-active; every later stage is started by the completion
+        of the one before it.
+        """
         if self.enforce_consistency:
             self._install_enforced_orders(state, plan_key)
-
-        for ops in chunk_ops:
+        for ops in state.chunk_ops:
             self.channels[ops[0].parent_dim].enqueue(ops[0])
 
     def _build_chunk_ops(

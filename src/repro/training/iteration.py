@@ -35,7 +35,6 @@ from ..collectives.types import CollectiveRequest, CollectiveType
 from ..core.scheduler import SchedulerFactory
 from ..errors import ConfigError, SimulationError, WorkloadError
 from ..sim.backends import get_backend, resolve_backend_key
-from ..sim.backends.packet import PacketNetwork
 from ..sim.engine import EventQueue
 from ..sim.executor import FusionConfig
 from ..sim.network import CollectiveResult, IdealNetwork, NetworkSimulator
@@ -157,7 +156,7 @@ class TrainingLoop:
         self,
         workload: Workload,
         platform: Topology,
-        network: NetworkSimulator | IdealNetwork | PacketNetwork,
+        network: NetworkSimulator | IdealNetwork,
         engine: EventQueue,
         config: TrainingConfig | None = None,
         *,
@@ -390,7 +389,7 @@ class TrainingSimulator:
                 scheduler,
                 splitter=Splitter(self.config.chunks_per_collective),
             )
-        self.network: NetworkSimulator | IdealNetwork | PacketNetwork = (
+        self.network: NetworkSimulator | IdealNetwork = (
             impl.build(
                 topology,
                 scheduler=scheduler,

@@ -8,6 +8,9 @@ Covers the fault layer end to end:
 * channel-level capacity changes: byte conservation through mid-flow
   degradation (audited), full-failure parking with no infinite events,
   bit-identical zero-fault runs;
+* network-level fault scheduling (target validation, the
+  ``fault_timeline``, the zero-capacity deadlock diagnosis) on every
+  exact backend: analytical, fluid and packet;
 * cluster-level job faults: retry/attempt accounting, failed jobs
   excluded from JCT statistics, checkpoint rollback, determinism;
 * the spec/CLI surface and the degraded-ring scheduler comparison
@@ -37,6 +40,7 @@ from repro.sim import (
     compose_factors,
     fault_substream,
 )
+from repro.sim.backends import get_backend
 from repro.topology import Topology, dimension
 from repro.units import MB
 from repro.workloads import Layer, Workload
@@ -64,13 +68,17 @@ def tiny_workload(param_mb: float = 16.0, name: str = "tiny") -> Workload:
     )
 
 
-def run_collective(topology, schedule: FaultSchedule | None = None,
-                   size=64 * MB, chunks=4, audit=True):
-    sim = NetworkSimulator(
+def build_network(topology, chunks=4, audit=True, backend="analytical"):
+    return get_backend(backend).build(
         topology,
-        SchedulerFactory("themis", splitter=Splitter(chunks)),
+        scheduler=SchedulerFactory("themis", splitter=Splitter(chunks)),
         audit=audit,
     )
+
+
+def run_collective(topology, schedule: FaultSchedule | None = None,
+                   size=64 * MB, chunks=4, audit=True, backend="analytical"):
+    sim = build_network(topology, chunks, audit, backend)
     if schedule is not None:
         sim.apply_fault_schedule(schedule)
     sim.submit(CollectiveRequest(CollectiveType.ALL_REDUCE, size))
@@ -213,7 +221,45 @@ class TestScaledLatencyModel:
 
 
 # --- channel capacity changes (audited) -------------------------------------
-class TestChannelCapacity:
+class _NetworkFaultCases:
+    """Fault scheduling owned by the network, run on every exact backend
+    (``TestChannelCapacity`` is the analytical case)."""
+
+    backend = "analytical"
+
+    def test_permanent_failure_is_a_diagnosed_deadlock(self):
+        with pytest.raises(SimulationError, match="zero capacity"):
+            run_collective(
+                tiny_topology(),
+                FaultSchedule((LinkFault(1, 0.0, 0.0),)),
+                backend=self.backend,
+            )
+
+    def test_apply_fault_rejects_bad_targets(self):
+        sim = build_network(tiny_topology(), chunks=2, backend=self.backend)
+        with pytest.raises(ConfigError, match="2 dimension"):
+            sim.apply_fault(LinkFault(5, 0.0, 0.5))
+
+    def test_fault_timeline_records_changes(self):
+        sim = build_network(tiny_topology(), chunks=2, backend=self.backend)
+        sim.apply_fault(LinkFault(1, 1e-4, 0.5, duration=1e-4))
+        sim.submit(CollectiveRequest(CollectiveType.ALL_REDUCE, 64 * MB))
+        sim.run()
+        times = [entry[0] for entry in sim.fault_timeline]
+        factors = [entry[2] for entry in sim.fault_timeline]
+        assert times == [pytest.approx(1e-4), pytest.approx(2e-4)]
+        assert factors == [0.5, 1.0]
+
+
+class TestNetworkFaultsFluid(_NetworkFaultCases):
+    backend = "fluid"
+
+
+class TestNetworkFaultsPacket(_NetworkFaultCases):
+    backend = "packet"
+
+
+class TestChannelCapacity(_NetworkFaultCases):
     def test_degradation_slows_but_conserves(self):
         healthy = run_collective(tiny_topology())
         degraded = run_collective(
@@ -238,13 +284,6 @@ class TestChannelCapacity:
         assert result.makespan >= healthy.makespan
         assert math.isfinite(result.makespan)
 
-    def test_permanent_failure_is_a_diagnosed_deadlock(self):
-        with pytest.raises(SimulationError, match="zero capacity"):
-            run_collective(
-                tiny_topology(),
-                FaultSchedule((LinkFault(1, 0.0, 0.0),)),
-            )
-
     def test_factor_one_fault_is_bit_identical(self):
         """A capacity 'change' to 1.0 must not perturb the timeline."""
         healthy = run_collective(tiny_topology(), audit=False)
@@ -265,25 +304,6 @@ class TestChannelCapacity:
             sim.channels[0].set_capacity_factor(-0.1)
         sim.channels[0].set_capacity_factor(0.5 * MIN_CAPACITY_FACTOR)
         assert sim.channels[0].capacity_factor == 0.0
-
-    def test_apply_fault_rejects_bad_targets(self):
-        sim = NetworkSimulator(
-            tiny_topology(), SchedulerFactory("themis", splitter=Splitter(2))
-        )
-        with pytest.raises(ConfigError, match="2 dimension"):
-            sim.apply_fault(LinkFault(5, 0.0, 0.5))
-
-    def test_fault_timeline_records_changes(self):
-        sim = NetworkSimulator(
-            tiny_topology(), SchedulerFactory("themis", splitter=Splitter(2))
-        )
-        sim.apply_fault(LinkFault(1, 1e-4, 0.5, duration=1e-4))
-        sim.submit(CollectiveRequest(CollectiveType.ALL_REDUCE, 64 * MB))
-        sim.run()
-        times = [entry[0] for entry in sim.fault_timeline]
-        factors = [entry[2] for entry in sim.fault_timeline]
-        assert times == [pytest.approx(1e-4), pytest.approx(2e-4)]
-        assert factors == [0.5, 1.0]
 
 
 # --- cluster-level job faults ------------------------------------------------

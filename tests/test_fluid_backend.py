@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import gc
 import weakref
+from dataclasses import replace
 
 import pytest
 
@@ -237,18 +238,19 @@ class TestDeterminism:
         assert runs[0] == runs[1]
 
     def test_coalescing_preserves_outcomes(self):
-        outcomes = {}
-        for coalesce in (True, False):
-            base = _cluster_spec("fluid")
-            spec = api.ClusterScenario(
-                topology="2D-SW_SW",
-                jobs=base.jobs,
-                backend="fluid",
-                backend_options={"coalesce": coalesce},
-            )
-            report = api.run(spec)
-            outcomes[coalesce] = tuple(j["jct"] for j in report.payload["jobs"])
-        assert outcomes[True] == outcomes[False]
+        # What deleting the coalescer must keep, under every fairness
+        # policy: the makespan and each job's JCT, bit for bit.
+        for fairness in (None, "weighted", "ftf", "preempt"):
+            outcomes = {}
+            for coalesce in (True, False):
+                base = _cluster_spec("fluid", fairness=fairness)
+                spec = replace(base, backend_options={"coalesce": coalesce})
+                report = api.run(spec)
+                outcomes[coalesce] = (
+                    report.makespan,
+                    tuple(j["jct"] for j in report.payload["jobs"]),
+                )
+            assert outcomes[True] == outcomes[False], fairness
 
     def test_coalescer_actually_fires(self):
         net = get_backend("fluid").build(

@@ -16,6 +16,7 @@ from repro.sim import (
     NetworkSimulator,
     bw_utilization,
 )
+from repro.sim.backends import get_backend
 from repro.units import MB
 
 
@@ -38,6 +39,14 @@ def run_single(
     )
     sim.submit(CollectiveRequest(ctype, size))
     return sim.run()
+
+
+def build_network(backend, topology, chunks=None):
+    """A ``backend`` network; ``chunks`` pins the Themis splitter."""
+    scheduler = None
+    if chunks is not None:
+        scheduler = SchedulerFactory("themis", splitter=Splitter(chunks))
+    return get_backend(backend).build(topology, scheduler=scheduler)
 
 
 class TestFig5Golden:
@@ -146,12 +155,13 @@ class TestExecutionBasics:
 
 
 class TestConcurrentCollectives:
+    """Submission and comm-active bookkeeping, shared by every exact
+    backend: the subclasses below rerun these on fluid and packet."""
+
+    backend = "analytical"
+
     def test_two_collectives_share_channels(self, asymmetric_3d):
-        sim = NetworkSimulator(
-            asymmetric_3d,
-            SchedulerFactory("themis", splitter=Splitter(4)),
-            policy="SCF",
-        )
+        sim = build_network(self.backend, asymmetric_3d, chunks=4)
         first = sim.submit(CollectiveRequest(CollectiveType.ALL_REDUCE, 64 * MB))
         second = sim.submit(
             CollectiveRequest(CollectiveType.ALL_REDUCE, 64 * MB), at_time=1e-4
@@ -161,9 +171,7 @@ class TestConcurrentCollectives:
         assert second.completion_time >= first.issue_time
 
     def test_sequential_collectives_give_comm_active_gaps(self, asymmetric_3d):
-        sim = NetworkSimulator(
-            asymmetric_3d, SchedulerFactory("themis", splitter=Splitter(2))
-        )
+        sim = build_network(self.backend, asymmetric_3d, chunks=2)
         first = sim.submit(CollectiveRequest(CollectiveType.ALL_REDUCE, 64 * MB))
         sim.run()  # finish the first completely
         gap_start = sim.engine.now
@@ -180,7 +188,7 @@ class TestConcurrentCollectives:
         assert first.done
 
     def test_completion_callback_invoked(self, asymmetric_3d):
-        sim = NetworkSimulator(asymmetric_3d)
+        sim = build_network(self.backend, asymmetric_3d)
         seen = []
         sim.submit(
             CollectiveRequest(CollectiveType.ALL_REDUCE, 64 * MB),
@@ -191,13 +199,30 @@ class TestConcurrentCollectives:
         assert seen[0] == pytest.approx(sim.engine.now)
 
 
+class TestConcurrentCollectivesFluid(TestConcurrentCollectives):
+    backend = "fluid"
+
+
+class TestConcurrentCollectivesPacket(TestConcurrentCollectives):
+    backend = "packet"
+
+
 class TestMidRunSnapshots:
+    """``result()`` snapshots, on every exact backend (see subclasses)."""
+
+    backend = "analytical"
+
+    def test_result_before_any_submit_raises(self, asymmetric_3d):
+        sim = build_network(self.backend, asymmetric_3d)
+        with pytest.raises(SimulationError, match="no collectives"):
+            sim.result()
+        with pytest.raises(SimulationError, match="no collectives"):
+            sim.run()
+
     def test_snapshot_skips_unfinished_collectives(self, asymmetric_3d):
         """A snapshot with a collective still in flight must not propagate
         the in-flight NaN completion time into makespan."""
-        sim = NetworkSimulator(
-            asymmetric_3d, SchedulerFactory("themis", splitter=Splitter(2))
-        )
+        sim = build_network(self.backend, asymmetric_3d, chunks=2)
         first = sim.submit(CollectiveRequest(CollectiveType.ALL_REDUCE, 64 * MB))
         sim.run()  # first completes
         finish = sim.engine.now
@@ -214,7 +239,7 @@ class TestMidRunSnapshots:
         assert not math.isnan(snapshot.makespan)
 
     def test_snapshot_with_nothing_finished_raises(self, asymmetric_3d):
-        sim = NetworkSimulator(asymmetric_3d)
+        sim = build_network(self.backend, asymmetric_3d)
         sim.submit(CollectiveRequest(CollectiveType.ALL_REDUCE, 64 * MB))
         snapshot = sim.result()  # nothing has run yet
         with pytest.raises(SimulationError, match="no collective has completed"):
@@ -224,9 +249,7 @@ class TestMidRunSnapshots:
         """Snapshotting mid-run must not corrupt the remaining accounting."""
 
         def build():
-            sim = NetworkSimulator(
-                asymmetric_3d, SchedulerFactory("themis", splitter=Splitter(4))
-            )
+            sim = build_network(self.backend, asymmetric_3d, chunks=4)
             sim.submit(CollectiveRequest(CollectiveType.ALL_REDUCE, 64 * MB))
             return sim
 
@@ -246,6 +269,14 @@ class TestMidRunSnapshots:
             iv.length for ivs in clean.dim_activity for iv in ivs
         )
         assert final_activity == pytest.approx(clean_activity)
+
+
+class TestMidRunSnapshotsFluid(TestMidRunSnapshots):
+    backend = "fluid"
+
+
+class TestMidRunSnapshotsPacket(TestMidRunSnapshots):
+    backend = "packet"
 
 
 class TestSubmissionValidation:
